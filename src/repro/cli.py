@@ -82,15 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.core.backends import BACKEND_NAMES
     from repro.flow.vertex_cut import FLOW_METHOD_CHOICES
 
+    # validated in _cmd_build rather than through argparse choices, so an
+    # unknown name raises the same ValueError as HC2LParameters
     build.add_argument(
         "--backend",
-        choices=list(BACKEND_NAMES),
+        metavar="{" + ",".join(BACKEND_NAMES) + "}",
         default="auto",
         help=(
             "shortest-path backend for the construction searches: heap "
             "(pure-Python Dijkstra), csr (batched scipy/numpy searches), "
-            "dial (bucket-queue searches for integer-scalable weights), "
-            "or auto (csr when scipy is available; the default)"
+            "or auto (csr when scipy is available, else heap; the default)"
         ),
     )
     build.add_argument(
@@ -297,6 +298,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 # subcommand implementations
 # --------------------------------------------------------------------- #
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.core.backends import check_backend_name
+
+    check_backend_name(args.backend)  # fail before loading the graph
     graph = _load_graph(args)
     print(f"building HC2L on {graph.num_vertices} vertices / {graph.num_edges} edges ...")
     index = HC2LIndex.build(

@@ -9,21 +9,11 @@ interpreted binary-heap Dijkstra of :mod:`repro.core.pruned_dijkstra` /
 :meth:`~repro.core.flat.FlatWorkingGraph.dijkstra`.
 
 :class:`ShortestPathBackend` is the seam between those passes and the
-search implementation.  Three backends ship:
+search implementation.  Two backends ship:
 
 ``heap``
     The existing pure-Python binary-heap searches, unchanged.  Always
     available; the reference for bit-identical comparisons.
-
-``dial``
-    Heap-free monotone bucket-queue (Dial) searches for snapshots whose
-    weights are integers after an exact power-of-two scaling.  Because
-    float64 addition of such dyadic weights is exact while sums stay
-    under ``2**53``, the bucket distances reproduce the heap Dijkstra's
-    float sums *bit-identically*; non-eligible snapshots fall back to
-    the ``csr`` searches (or ``heap`` without scipy).  Algorithm 4
-    pruneability flags are recovered by the same shortest-path-DAG pass
-    the ``csr`` backend uses.
 
 ``csr``
     Heap-free searches over the CSR snapshot: distances come from one
@@ -43,21 +33,18 @@ search implementation.  Three backends ship:
 Tiny subgraphs (the bulk of the recursion's nodes by count, not by cost)
 are delegated away from the matrix machinery even under ``csr``: below a
 few dozen vertices the per-call overhead of building a scipy matrix
-outweighs the scalar loops.  Those delegated snapshots run the Dial
-bucket queue when their weights are integer-scalable and the binary heap
-otherwise.  Since all backends produce identical results, mixing is safe.
+outweighs the scalar loops, so those snapshots run the binary heap.
+Since both backends produce identical results, mixing is safe.
 
-``resolve_backend`` maps the ``"auto"`` / ``"heap"`` / ``"csr"`` /
-``"dial"`` names used by :class:`~repro.core.index.HC2LParameters` and
-the CLI's ``repro build --backend`` to backend instances; ``auto`` picks
-``csr`` when scipy is importable and ``dial`` (whose non-integer
-fallback is the heap) otherwise.
+``resolve_backend`` maps the ``"auto"`` / ``"heap"`` / ``"csr"`` names
+used by :class:`~repro.core.index.HC2LParameters` and the CLI's
+``repro build --backend`` to backend instances; ``auto`` picks ``csr``
+when scipy is importable and ``heap`` otherwise.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +53,7 @@ from repro.core.pruned_dijkstra import dist_and_prune_dense, prune_flags_from_di
 
 INF = float("inf")
 
-BACKEND_NAMES = ("auto", "heap", "csr", "dial")
+BACKEND_NAMES = ("auto", "heap", "csr")
 
 try:  # pragma: no cover - exercised via whichever env runs the suite
     from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -187,148 +174,6 @@ class HeapBackend(ShortestPathBackend):
         return dists, prunes
 
 
-class DialBackend(ShortestPathBackend):
-    """Monotone bucket-queue (Dial) searches for integer-scalable weights.
-
-    A snapshot is *eligible* when every edge weight is strictly positive,
-    finite, and an integer after multiplication by a single power of two
-    ``2**exp`` (``exp <= max_scale_exp``) with the scaled weights bounded
-    by ``max_scaled_weight``.  Dyadic weights make every float64 addition
-    the heap Dijkstra performs exact (each partial sum is an integer
-    multiple of ``2**-exp`` below ``2**53``), so integer bucket distances
-    converted back through ``math.ldexp`` equal the heap's float
-    distances **bit for bit** - asserted by the differential fuzz and
-    partition-backend suites.
-
-    Non-eligible snapshots (and snapshots above ``max_vertices``, where
-    the batched C-speed scipy searches win regardless of weight shape)
-    run on the fallback backend: ``csr`` when scipy is importable,
-    ``heap`` otherwise, both bit-identical anyway.  Algorithm 4
-    pruneability flags come from the same finished-distance DAG pass the
-    ``csr`` backend uses, so no flag logic is duplicated.
-
-    The eligibility verdict (and the scaled integer weights) is cached on
-    the snapshot under :data:`_SCALE_CACHE`; the builder touches each
-    node's snapshot many times, the detection sweep runs once.
-    """
-
-    name = "dial"
-    #: the compact Edmonds-Karp is the fastest dependency-free flow
-    #: solver on the bench region population, matching this backend's
-    #: pure-python character
-    flow_method = "python_ek"
-
-    _SCALE_CACHE = "dial_scale"
-
-    def __init__(
-        self,
-        fallback: Optional[ShortestPathBackend] = None,
-        max_scaled_weight: int = 4096,
-        max_scale_exp: int = 20,
-        max_vertices: int = 4096,
-    ) -> None:
-        self.max_scaled_weight = max_scaled_weight
-        self.max_scale_exp = max_scale_exp
-        self.max_vertices = max_vertices
-        self._fallback = fallback
-
-    @property
-    def fallback(self) -> ShortestPathBackend:
-        """Backend for non-eligible snapshots (lazy to avoid ctor cycles)."""
-        if self._fallback is None:
-            self._fallback = CSRBackend() if scipy_available() else HeapBackend()
-        return self._fallback
-
-    # ------------------------------------------------------------------ #
-    def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
-        scale = self._scale(flat)
-        if scale is None:
-            return self.fallback.sssp_many(flat, sources)
-        return [self._sssp(flat, scale, int(source)) for source in sources]
-
-    def dist_and_prune_many(
-        self,
-        flat: FlatWorkingGraph,
-        roots: Sequence[int],
-        prune_sets: Sequence[Sequence[int]],
-    ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
-        scale = self._scale(flat)
-        if scale is None:
-            return self.fallback.dist_and_prune_many(flat, roots, prune_sets)
-        dists: List[Sequence[float]] = []
-        prunes: List[Sequence[bool]] = []
-        for root, prune_ids in zip(roots, prune_sets):
-            dist = self._sssp(flat, scale, int(root))
-            dists.append(dist)
-            # eligibility guarantees strictly positive weights, so the
-            # DAG flag-recovery pass applies
-            prunes.append(prune_flags_from_distances(flat, root, prune_ids, dist))
-        return dists, prunes
-
-    # ------------------------------------------------------------------ #
-    def _scale(self, flat: FlatWorkingGraph) -> Optional[Tuple[int, int, List[int]]]:
-        """``(exp, max_scaled_weight, scaled_int_weights)`` or ``None``."""
-        if self._SCALE_CACHE in flat.cache:
-            return flat.cache[self._SCALE_CACHE]
-        result: Optional[Tuple[int, int, List[int]]] = None
-        n = len(flat.vertices)
-        if 0 < n <= self.max_vertices:
-            _, _, weights = flat.csr_arrays()
-            if weights.size == 0:
-                result = (0, 0, [])
-            elif float(weights.min()) > 0.0 and np.isfinite(weights.max()):
-                for exp in range(self.max_scale_exp + 1):
-                    scaled = np.ldexp(weights, exp)
-                    if float(scaled.max()) > self.max_scaled_weight:
-                        break
-                    if np.array_equal(scaled, np.floor(scaled)):
-                        longest = (n - 1) * int(scaled.max())
-                        if longest < (1 << 52):  # every float sum exact
-                            result = (exp, int(scaled.max()), scaled.astype(np.int64).tolist())
-                        break
-        flat.cache[self._SCALE_CACHE] = result
-        return result
-
-    def _sssp(
-        self, flat: FlatWorkingGraph, scale: Tuple[int, int, List[int]], source: int
-    ) -> List[float]:
-        """One Dial search; returns the float distance row (heap-identical)."""
-        exp, bound, int_weights = scale
-        indptr = flat.indptr
-        indices = flat.indices
-        n = len(flat.vertices)
-        big = 1 << 62
-        dist = [big] * n
-        # ring of bound + 1 buckets: a tentative distance never exceeds
-        # the current settled distance by more than the largest weight,
-        # so slots can be reused modulo the ring size (Dial's invariant)
-        size = bound + 1
-        ring: List[List[int]] = [[] for _ in range(size)]
-        dist[source] = 0
-        ring[0].append(source)
-        pending = 1
-        d = 0
-        while pending:
-            bucket = ring[d % size]
-            while bucket:
-                v = bucket.pop()
-                pending -= 1
-                if dist[v] != d:
-                    continue  # superseded by a shorter entry
-                for i in range(indptr[v], indptr[v + 1]):
-                    w = indices[i]
-                    nd = d + int_weights[i]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        ring[nd % size].append(w)
-                        pending += 1
-            d += 1
-        inf = INF
-        # ldexp is exact, so scaled-integer distances map onto the very
-        # float64 values the heap Dijkstra accumulated
-        return [math.ldexp(x, -exp) if x < big else inf for x in dist]
-
-
 class CSRBackend(ShortestPathBackend):
     """Heap-free searches over the CSR snapshot (scipy or numpy).
 
@@ -363,15 +208,11 @@ class CSRBackend(ShortestPathBackend):
         # python-walk crossover sits much higher than components()'s
         self.masked_min_vertices = masked_min_vertices
         self._heap = HeapBackend()
-        # delegated tiny snapshots run the Dial bucket queue when their
-        # weights are integer-scalable (no binary heap at all) and the
-        # heap otherwise; both are bit-identical to the batched searches
-        self._small = DialBackend(fallback=self._heap)
 
     # ------------------------------------------------------------------ #
     def sssp_many(self, flat: FlatWorkingGraph, sources: Sequence[int]) -> List[Sequence[float]]:
         if self._delegate(flat):
-            return self._small.sssp_many(flat, sources)
+            return self._heap.sssp_many(flat, sources)
         rows = self._distance_rows(flat, sources)
         return [rows[source] for source in sources]
 
@@ -403,7 +244,7 @@ class CSRBackend(ShortestPathBackend):
         prune_sets: Sequence[Sequence[int]],
     ) -> Tuple[List[Sequence[float]], List[Sequence[bool]]]:
         if self._delegate(flat):
-            return self._small.dist_and_prune_many(flat, roots, prune_sets)
+            return self._heap.dist_and_prune_many(flat, roots, prune_sets)
         rows = self._distance_rows(flat, roots)
         dists: List[Sequence[float]] = []
         prunes: List[Sequence[bool]] = []
@@ -490,7 +331,7 @@ class CSRBackend(ShortestPathBackend):
             return True
         # scipy's sparse matrices treat explicit zeros as missing edges;
         # zero-weight edges are legal in Graph, so route them to the
-        # scalar searches (dial rejects them too and lands on the heap)
+        # scalar searches
         return self._zero_weight(flat)
 
     @staticmethod
@@ -639,7 +480,6 @@ BackendSpec = Union[str, ShortestPathBackend, None]
 _BACKEND_FACTORIES = {
     "heap": HeapBackend,
     "csr": CSRBackend,
-    "dial": DialBackend,
 }
 
 
@@ -647,9 +487,8 @@ def resolve_backend(spec: BackendSpec = "auto") -> ShortestPathBackend:
     """Map a backend name (or instance, or ``None``) to a backend instance.
 
     ``"auto"`` (and ``None``) pick ``csr`` when scipy is importable and
-    ``dial`` (integer-scalable snapshots on the bucket queue, everything
-    else on its heap fallback) otherwise; explicit ``"csr"`` works
-    without scipy through the numpy fallback.  Instances pass through
+    ``heap`` otherwise; explicit ``"csr"`` works without scipy through
+    the numpy fallback.  Instances pass through
     untouched, so callers can inject a tuned :class:`CSRBackend`
     directly.  Anything that is not a name, an instance, or ``None``
     raises a :class:`TypeError` - a boolean or a number is always a
@@ -659,7 +498,7 @@ def resolve_backend(spec: BackendSpec = "auto") -> ShortestPathBackend:
         return spec
     name = check_backend_name("auto" if spec is None else spec)
     if name == "auto":
-        name = "csr" if scipy_available() else "dial"
+        name = "csr" if scipy_available() else "heap"
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _BACKEND_FACTORIES[name]()

@@ -108,9 +108,9 @@ class HC2LBuilder:
         safety net for adversarial inputs.
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
-        construction searches (``"auto"``, ``"heap"``, ``"csr"``,
-        ``"dial"``, or an instance); ``"auto"`` picks the CSR backend
-        when scipy is available.  Labels are bit-identical across
+        construction searches (``"auto"``, ``"heap"``, ``"csr"``, or an
+        instance); ``"auto"`` picks the CSR backend when scipy is
+        available and the heap otherwise.  Labels are bit-identical across
         backends.
     flow_method:
         Max-flow solver for the balanced cuts - a name from

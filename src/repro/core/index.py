@@ -72,9 +72,8 @@ class HC2LParameters:
     backend:
         Shortest-path backend for the construction searches: ``"heap"``
         (pure-Python binary heap), ``"csr"`` (batched scipy / numpy
-        searches over the CSR snapshot), ``"dial"`` (bucket-queue
-        searches for integer-scalable weights), or ``"auto"`` (csr when
-        scipy is importable).  Labels are bit-identical across backends.
+        searches over the CSR snapshot), or ``"auto"`` (csr when scipy
+        is importable, else heap).  Labels are bit-identical across backends.
     flow_method:
         Max-flow solver for the hierarchy phase's minimum vertex cuts -
         one of :data:`repro.flow.vertex_cut.FLOW_METHODS`, or ``"auto"``

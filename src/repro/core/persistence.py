@@ -494,6 +494,10 @@ def _unpack_components(archive, header: dict) -> dict:
     parameters = dict(header["parameters"])
     if int(parameters.get("num_workers", 1)) < 1:
         parameters["num_workers"] = 1
+    # the retired bucket-queue backend: its labels were bit-identical to
+    # every other backend's, so any relabel may run on the default
+    if parameters.get("backend") == "dial":
+        parameters["backend"] = "auto"
 
     return {
         "graph": graph,

@@ -80,8 +80,8 @@ _OUTER_CAPACITY = float("inf")
 #: choices all consume it (plus the ``"auto"`` sentinel below).
 FLOW_METHODS = ("dinitz", "matrix", "python_ek", "push_relabel")
 
-#: ``"auto"`` defers the choice to the shortest-path backend (heap and
-#: dial pick ``python_ek``, csr picks ``matrix``); it is valid everywhere
+#: ``"auto"`` defers the choice to the shortest-path backend (heap picks
+#: ``python_ek``, csr picks ``matrix``); it is valid everywhere
 #: a flow method is configured but never reaches
 #: ``minimum_vertex_cut_region`` itself.
 FLOW_METHOD_AUTO = "auto"

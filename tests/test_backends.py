@@ -18,6 +18,7 @@ import pytest
 
 import repro.core.backends as backends_module
 from repro.core.backends import (
+    BACKEND_NAMES,
     CSRBackend,
     HeapBackend,
     check_backend_name,
@@ -132,22 +133,38 @@ class TestPruneFlagRecovery:
 
 class TestBackendSelection:
     def test_resolve_names(self):
+        assert BACKEND_NAMES == ("auto", "heap", "csr")
         assert resolve_backend("heap").name == "heap"
         assert resolve_backend("csr").name == "csr"
-        assert resolve_backend("dial").name == "dial"
-        expected_auto = "csr" if scipy_available() else "dial"
+        expected_auto = "csr" if scipy_available() else "heap"
         assert resolve_backend("auto").name == expected_auto
         assert resolve_backend(None).name == expected_auto
         instance = CSRBackend(min_vertices=7)
         assert resolve_backend(instance) is instance
 
+    def test_auto_is_heap_without_scipy(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "_scipy_dijkstra", None)
+        assert resolve_backend("auto").name == "heap"
+        assert resolve_backend(None).name == "heap"
+
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown shortest-path backend"):
             resolve_backend("bogus")
-        # "dial" is a first-class name, not a typo
-        assert check_backend_name("dial") == "dial"
         with pytest.raises(ValueError, match="unknown shortest-path backend"):
             HC2LParameters(backend="bogus")
+
+    def test_retired_dial_name_lists_valid_names(self, tmp_path):
+        from repro.cli import main
+
+        valid = r"'dial'.*\('auto', 'heap', 'csr'\)"
+        with pytest.raises(ValueError, match=valid):
+            check_backend_name("dial")
+        with pytest.raises(ValueError, match=valid):
+            HC2LParameters(backend="dial")
+        output = tmp_path / "never-written.npz"
+        with pytest.raises(ValueError, match=valid):
+            main(["build", "--synthetic", "60", "--output", str(output), "--backend", "dial"])
+        assert not output.exists()
 
     def test_non_string_specs_rejected_with_typed_error(self):
         # bools/numbers/None-likes must not fall through to the generic
@@ -158,7 +175,7 @@ class TestBackendSelection:
             with pytest.raises(TypeError, match="must be a string"):
                 check_backend_name(spec)
         # None stays the documented "pick for me" spelling
-        assert resolve_backend(None).name in ("csr", "dial")
+        assert resolve_backend(None).name in ("csr", "heap")
 
     def test_parameters_round_trip_through_archive(self, tmp_path):
         graph = _random_graph(9, n_lo=12, n_hi=20)

@@ -22,7 +22,7 @@ import random
 import pytest
 
 import repro.flow.vertex_cut as vertex_cut_module
-from repro.core.backends import CSRBackend, DialBackend, HeapBackend
+from repro.core.backends import CSRBackend, HeapBackend
 from repro.core.flat import FlatWorkingGraph
 from repro.flow.vertex_cut import FLOW_METHODS, minimum_st_vertex_cut
 from repro.graph.builders import graph_from_edges
@@ -82,14 +82,20 @@ class TestCutBackendEquality:
         network = synthetic_road_network(
             RoadNetworkSpec("cut-smoke", num_vertices=350, seed=2024)
         )
-        adjacency = working_graph_from(network.distance_graph)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
-        assert (reference.part_a, reference.cut, reference.part_b) == (
-            fast.part_a,
-            fast.cut,
-            fast.part_b,
+        floats = network.distance_graph
+        # DIMACS road files carry integer weights: many more ties
+        integers = floats.reweighted(
+            {(u, v): float(max(1, round(w))) for u, v, w in floats.edges()}
         )
+        for graph in (floats, integers):
+            adjacency = working_graph_from(graph)
+            reference = balanced_cut(adjacency, backend=HeapBackend())
+            fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+            assert (reference.part_a, reference.cut, reference.part_b) == (
+                fast.part_a,
+                fast.cut,
+                fast.part_b,
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_backend_equality(self, seed):
@@ -213,58 +219,6 @@ class TestCrossSolverFuzz:
         assert result.cut_size == 0
         assert result.cut_closest_to_source == []
         assert result.cut_closest_to_sink == []
-
-
-class _FallbackForbidden(HeapBackend):
-    """Fallback that fails the test if the Dial eligibility path bails."""
-
-    def sssp_many(self, flat, sources):
-        raise AssertionError("DialBackend fell back on an eligible snapshot")
-
-    def dist_and_prune_many(self, flat, roots, prune_sets):
-        raise AssertionError("DialBackend fell back on an eligible snapshot")
-
-
-class TestDialBackendEquality:
-    """Bucket-queue SSSP is exactly - not approximately - the heap Dijkstra.
-
-    ``_seeded_adjacency`` draws small integer weights, so every snapshot
-    in the recursion is Dial-eligible; the forbidden fallback proves the
-    bucket queue (and not a silent delegate) produced the results.
-    """
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_dial_and_heap_cuts_are_identical(self, seed):
-        adjacency = _seeded_adjacency(seed)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        dial = balanced_cut(
-            adjacency, backend=DialBackend(fallback=_FallbackForbidden())
-        )
-        assert (reference.part_a, reference.cut, reference.part_b) == (
-            dial.part_a,
-            dial.cut,
-            dial.part_b,
-        )
-        assert separates(adjacency, dial)
-
-    @pytest.mark.parametrize("seed", [1, 8])
-    def test_dial_rows_bit_identical_on_dyadic_weights(self, seed):
-        """Quarter-integer weights scale by 2**2: still exact float64."""
-        rng = random.Random(seed)
-        n = 60
-        edges = []
-        for v in range(1, n):
-            edges.append((rng.randrange(v), v, rng.randrange(1, 40) * 0.25))
-        for _ in range(2 * n):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                edges.append((u, v, rng.randrange(1, 40) * 0.25))
-        adjacency = working_graph_from(graph_from_edges(edges, num_vertices=n))
-        flat = FlatWorkingGraph(adjacency)
-        sources = list(range(0, n, 7))
-        heap_rows = HeapBackend().sssp_many(flat, sources)
-        dial_rows = DialBackend(fallback=_FallbackForbidden()).sssp_many(flat, sources)
-        assert [list(row) for row in dial_rows] == [list(row) for row in heap_rows]
 
 
 class TestValidationAndDedupe:

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.dynamic import DynamicHC2LIndex, relabel
 from repro.core.index import HC2LIndex
 from repro.core.persistence import (
     FORMAT_NAME,
@@ -126,19 +127,28 @@ class TestValidation:
             HC2LIndex.load(tmp_path / "does-not-exist.npz")
 
 
+def _rewrite_archive(path, edit) -> None:
+    """Load a saved archive, let ``edit(header, arrays)`` mutate it, save it back."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
+    edit(header, arrays)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
+
 class TestVersionCompatibility:
     def test_version_1_archives_still_load(self, small_graph, built_index, tmp_path):
         """Archives written before the sharded layout (version 1) load fine."""
         path = tmp_path / "v1.npz"
         built_index.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        header["version"] = 1
-        header.pop("label_layout", None)  # v1 headers predate the key
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+
+        def to_v1(header, arrays):
+            header["version"] = 1
+            header.pop("label_layout", None)  # v1 headers predate the key
+
+        _rewrite_archive(path, to_v1)
         loaded = HC2LIndex.load(path)
         pairs = random_query_pairs(small_graph, 30, seed=9)
         assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
@@ -147,21 +157,49 @@ class TestVersionCompatibility:
         """Archives written before the subtree ranges (version 2) load fine."""
         path = tmp_path / "v2.npz"
         built_index.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        header["version"] = 2
-        # v2 archives predate the persisted DFS linearisation
-        for name in ("hier_core_position", "hier_node_range_lo", "hier_node_range_hi"):
-            arrays.pop(name)
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+
+        def to_v2(header, arrays):
+            header["version"] = 2
+            # v2 archives predate the persisted DFS linearisation
+            for name in ("hier_core_position", "hier_node_range_lo", "hier_node_range_hi"):
+                arrays.pop(name)
+
+        _rewrite_archive(path, to_v2)
         loaded = HC2LIndex.load(path)
         pairs = random_query_pairs(small_graph, 30, seed=9)
         assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
         # the DFS linearisation is recomputed on demand and matches
         assert loaded.hierarchy.subtree_ranges() == built_index.hierarchy.subtree_ranges()
+
+    def test_dial_backend_archives_load_and_relabel(self, small_graph, built_index, tmp_path):
+        """Archives built on the retired ``dial`` backend load as ``auto``.
+
+        Every backend built bit-identical labels, so such an archive
+        answers exactly like a fresh one and relabels on the default.
+        """
+        path = tmp_path / "dial.npz"
+        built_index.save(path)
+
+        def to_dial(header, arrays):
+            header["parameters"]["backend"] = "dial"
+
+        _rewrite_archive(path, to_dial)
+        loaded = HC2LIndex.load(path)
+        assert loaded.parameters.backend == "auto"
+        assert loaded.flat_labelling() == built_index.flat_labelling()
+        pairs = random_query_pairs(small_graph, 30, seed=9)
+        assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
+
+        u, v, weight = next(iter(small_graph.edges()))
+        dynamic = DynamicHC2LIndex(small_graph, loaded.parameters)
+        dynamic.update_edge_weight(u, v, 2 * weight)
+        reweighted = small_graph.reweighted({(u, v): 2 * weight})
+        relabelled = relabel(loaded, reweighted, changed_edges=[(u, v)])
+        assert (
+            relabelled.distances(pairs).tolist()
+            == dynamic.distances(pairs).tolist()
+            == relabel(built_index, reweighted, changed_edges=[(u, v)]).distances(pairs).tolist()
+        )
 
     def test_current_archives_declare_version_3(self, built_index, tmp_path):
         path = tmp_path / "v3.npz"
