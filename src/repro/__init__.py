@@ -29,7 +29,6 @@ from repro.core.construction import HC2LBuilder
 from repro.core.engine import QueryEngine
 from repro.core.flat import FlatLabelling
 from repro.core.oracle import BatchMixin, DistanceOracle
-from repro.core.parallel import ParallelHC2LBuilder
 from repro.graph.graph import Graph
 from repro.graph.generators import (
     RoadNetwork,
@@ -46,7 +45,6 @@ __all__ = [
     "HC2LIndex",
     "HC2LParameters",
     "HC2LBuilder",
-    "ParallelHC2LBuilder",
     "QueryEngine",
     "FlatLabelling",
     "DistanceOracle",

@@ -7,7 +7,7 @@ Public entry point is :class:`repro.core.index.HC2LIndex`, which bundles
 * the tail-pruned hierarchical cut 2-hop labelling (Section 4.2), and
 * O(1)-LCA query processing (Section 4.3),
 
-plus the parallel construction variant HC2L_p (Section 4.4).
+plus the process-parallel construction HC2L_p (Section 4.4).
 """
 
 from repro.core.backends import (
@@ -21,14 +21,12 @@ from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.labelling import HC2LLabelling
 from repro.core.construction import HC2LBuilder, ConstructionStats
 from repro.core.oracle import BatchMixin, DistanceOracle
-from repro.core.parallel import ParallelHC2LBuilder
 
 __all__ = [
     "HC2LIndex",
     "HC2LParameters",
     "HC2LLabelling",
     "HC2LBuilder",
-    "ParallelHC2LBuilder",
     "ConstructionStats",
     "DistanceOracle",
     "BatchMixin",

@@ -502,30 +502,6 @@ class FlatWorkingGraph:
         return len(self.vertices)
 
     @classmethod
-    def from_csr(
-        cls,
-        vertices: Sequence[int],
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        weights: Sequence[float],
-    ) -> "FlatWorkingGraph":
-        """Build a snapshot directly from CSR components (no dict walk).
-
-        ``vertices`` maps dense ids to original ids and must be sorted
-        ascending (the invariant every snapshot maintains); ``indices``
-        holds dense ids.
-        """
-        snapshot = cls.__new__(cls)
-        snapshot.vertices = list(vertices)
-        snapshot.dense_id = {v: i for i, v in enumerate(snapshot.vertices)}
-        snapshot._indptr = list(indptr)
-        snapshot._indices = list(indices)
-        snapshot._weights = list(weights)
-        snapshot.cache = {}
-        snapshot._np_csr = None
-        return snapshot
-
-    @classmethod
     def from_csr_arrays(
         cls,
         vertices: Sequence[int],
@@ -585,20 +561,6 @@ class FlatWorkingGraph:
         return FlatWorkingGraph.from_csr_arrays(
             vertex_list, new_indptr, new_indices, new_weights
         )
-
-    def induce_with_shortcuts(
-        self, members: Sequence[int], shortcuts: Sequence
-    ) -> "FlatWorkingGraph":
-        """The induced snapshot on ``members`` with ``shortcuts`` overlaid.
-
-        CSR counterpart of
-        :func:`repro.partition.shortcuts.child_adjacency` (restrict, then
-        ``apply_shortcuts``).  Equivalent to
-        ``self.induce(members).overlay_shortcuts(shortcuts)``; callers that
-        already hold the induced snapshot (the construction reuses the one
-        the shortcut computation searched) overlay it directly.
-        """
-        return self.induce(members).overlay_shortcuts(shortcuts)
 
     def overlay_shortcuts(self, shortcuts: Sequence) -> "FlatWorkingGraph":
         """A snapshot with ``shortcuts`` overlaid on this one's edges.

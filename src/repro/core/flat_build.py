@@ -1,30 +1,32 @@
-"""Dict-free HC2L subtree construction (the process-parallel work unit).
+"""The HC2L subtree recursion over CSR snapshots.
 
-The process-parallel builder (:class:`~repro.core.parallel.ParallelHC2LBuilder`
-with ``parallel_mode="process"``) ships independent hierarchy subtrees to
-worker processes.  A work unit must be self-contained and cheap to pickle,
-so it is expressed entirely over :class:`~repro.core.flat.FlatWorkingGraph`
-CSR snapshots (numpy arrays) instead of the dict-of-dicts working
-adjacency the sequential builder recurses on:
+Every HC2L build runs this recursion.  It is expressed entirely over
+:class:`~repro.core.flat.FlatWorkingGraph` CSR snapshots (numpy arrays),
+so a subtree is self-contained and cheap to pickle: the serial build runs
+it on the root in-process, and the process-parallel build ships subtrees
+of the same recursion to worker processes.
 
 * :func:`node_step` - one node of the interleaved construction (cut,
   ranking, labelling arrays, shortcut-enhanced child snapshots), with the
-  child snapshots derived by
-  :meth:`~repro.core.flat.FlatWorkingGraph.induce_with_shortcuts` on the
-  parent CSR rather than a fresh dict restriction.
+  child snapshots derived from the parent CSR by
+  :meth:`~repro.core.flat.FlatWorkingGraph.induce` plus
+  :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`.
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
-  graft the subtree into the global hierarchy plus one
+  graft the subtree into the global hierarchy
+  (:meth:`SubtreeResult.graft`) plus one
   :class:`~repro.core.flat.FlatLabelling` fragment holding the subtree's
   label levels in DFS (cut-concatenation) order.
+* :func:`assemble_labelling` - permutes the fragments of a whole build
+  into one labelling in vertex order.
 * :func:`build_subtree_payload` - the process-pool entry point; rebuilds
   the snapshot from a plain-arrays payload dict.
 
-Every step replicates the sequential builder's vertex orderings, edge
-orderings and tie-breaks, so the labels a worker produces are
-bit-identical to the ones the serial recursion would have written for the
-same subtree (``tests/test_process_parallel.py`` asserts this on whole
-graphs, ``tests/test_differential_fuzz.py`` across graph families).
+The vertex orderings, edge orderings and tie-breaks are fixed, so a
+subtree's labels do not depend on where it runs:
+``tests/test_process_parallel.py`` pins serial and process builds to the
+same labels, and ``tests/test_known_answers.py`` pins both to recorded
+digests.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +46,10 @@ from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.partition.cut import balanced_cut
 from repro.partition.shortcuts import compute_shortcuts
 from repro.utils.timer import Timer
+
+if TYPE_CHECKING:
+    from repro.core.construction import ConstructionStats
+    from repro.hierarchy.tree import BalancedTreeHierarchy
 
 
 @dataclass
@@ -78,10 +84,8 @@ def node_step(
 ) -> NodeStep:
     """Run one node of the interleaved construction over a CSR snapshot.
 
-    The dict-free counterpart of ``HC2LBuilder._build_node``'s body: cut
-    the subgraph, rank the cut, compute the distance arrays, and derive the
-    shortcut-enhanced child snapshots - same decisions, same orderings,
-    no recursion and no dict materialisation.
+    Cut the subgraph, rank the cut, compute the distance arrays, and
+    derive the shortcut-enhanced child snapshots; the caller recurses.
     """
     n = len(flat.vertices)
     force_leaf = n <= leaf_size or depth >= max_depth
@@ -211,6 +215,61 @@ class SubtreeResult:
             len(self.dfs_vertices), self.values, self.level_indptr, self.vertex_indptr
         )
 
+    def graft(
+        self,
+        hierarchy: "BalancedTreeHierarchy",
+        parent: Optional[int],
+        side: Optional[str],
+        stats: "ConstructionStats",
+    ) -> None:
+        """Append the node records under hierarchy node ``parent`` (on
+        ``side``; ``None`` for the root) and add the counters to ``stats``."""
+        local_to_global: List[int] = []
+        for i in range(len(self.depths)):
+            parent_local = self.parents[i]
+            if parent_local < 0:
+                parent_idx, side_i = parent, side
+            else:
+                parent_idx, side_i = local_to_global[parent_local], self.sides[i]
+            node = hierarchy.add_node(
+                self.depths[i],
+                self.bits[i],
+                self.cuts[i],
+                parent_idx,
+                side_i,
+                is_leaf=self.leaf_flags[i],
+            )
+            hierarchy.set_subtree_size(node.index, self.sizes[i])
+            local_to_global.append(node.index)
+        stats.num_nodes += len(self.depths)
+        stats.num_leaves += self.num_leaves
+        stats.num_empty_cuts += self.num_empty_cuts
+        stats.num_shortcuts += self.num_shortcuts
+        stats.max_depth = max(stats.max_depth, self.max_depth)
+        stats.node_timings.extend(self.node_timings)
+        for name, seconds in self.durations.items():
+            stats.timer.durations[name] = stats.timer.get(name) + seconds
+
+
+def assemble_labelling(
+    fragments: Sequence[Tuple[np.ndarray, FlatLabelling]], num_vertices: int
+) -> FlatLabelling:
+    """One labelling in vertex order from ``(vertex ids, fragment)`` pairs.
+
+    The fragments must cover every vertex exactly once; position ``p`` of
+    a fragment holds the labels of its ``vertex ids[p]``.
+    """
+    order = (
+        np.concatenate([vertices for vertices, _ in fragments])
+        if fragments
+        else np.empty(0, dtype=np.int64)
+    )
+    if not np.array_equal(np.sort(order), np.arange(num_vertices, dtype=np.int64)):
+        raise AssertionError("label fragments do not cover every vertex exactly once")
+    perm = np.empty(num_vertices, dtype=np.int64)
+    perm[order] = np.arange(num_vertices, dtype=np.int64)
+    return FlatLabelling.concat([fragment for _, fragment in fragments]).reorder(perm)
+
 
 def build_subtree(
     flat: FlatWorkingGraph,
@@ -224,12 +283,12 @@ def build_subtree(
     backend: BackendSpec = None,
     flow_method: str = "auto",
 ) -> SubtreeResult:
-    """Build the whole hierarchy subtree rooted at ``flat`` (dict-free).
+    """Build the whole hierarchy subtree rooted at ``flat``.
 
-    Runs the same recursion as ``HC2LBuilder._build_node`` but over CSR
-    snapshots only, accumulating node records and per-vertex label levels
-    locally; the caller (worker process or inline fallback) grafts the
-    returned :class:`SubtreeResult` into the global hierarchy/labelling.
+    Recurses through :func:`node_step`, accumulating node records and
+    per-vertex label levels locally; the caller (the serial build, a
+    worker process or the pool build's inline fallback) grafts the
+    returned :class:`SubtreeResult` into the global hierarchy.
     """
     search = resolve_backend(backend)
     timer = Timer()
@@ -318,7 +377,7 @@ def build_subtree_payload(payload: Dict[str, object]) -> SubtreeResult:
     the vertex-id map, the node position (``depth``, ``bits``) and the
     builder parameters.  The backend travels by *name*; a custom backend
     instance cannot cross a process boundary, so the coordinator only
-    ships named backends to workers (see ``ParallelHC2LBuilder``).
+    ships named backends to workers (see :mod:`repro.core.parallel`).
     """
     vertices = np.asarray(payload["vertices"], dtype=np.int64)
     flat = FlatWorkingGraph.from_csr_arrays(
@@ -333,6 +392,5 @@ def build_subtree_payload(payload: Dict[str, object]) -> SubtreeResult:
         tail_pruning=bool(payload["tail_pruning"]),
         max_depth=int(payload["max_depth"]),
         backend=payload["backend"],
-        # absent in payloads from older coordinators -> backend default
-        flow_method=str(payload.get("flow_method", "auto")),
+        flow_method=str(payload["flow_method"]),
     )

@@ -97,7 +97,6 @@ def _index_header(index: "HC2LIndex", label_layout: str) -> dict:
             "num_workers": parameters.num_workers,
             # absent in pre-backend archives; HC2LParameters defaults them
             "backend": getattr(parameters, "backend", "auto"),
-            "parallel_mode": getattr(parameters, "parallel_mode", "thread"),
             # absent before the flow-method switch existed; "auto" keeps
             # legacy archives on the backend-selected solver
             "flow_method": getattr(parameters, "flow_method", "auto"),
@@ -488,9 +487,9 @@ def _unpack_components(archive, header: dict) -> dict:
         max_depth=int(stats_header["max_depth"]),
     )
 
-    # archives written before the parallel-mode rework stored
-    # ``num_workers: 0`` for sequential builds; HC2LParameters now
-    # requires >= 1, so normalise legacy headers on the way in
+    # older archives stored ``num_workers: 0`` for sequential builds;
+    # HC2LParameters now requires >= 1, so normalise legacy headers on
+    # the way in
     parameters = dict(header["parameters"])
     if int(parameters.get("num_workers", 1)) < 1:
         parameters["num_workers"] = 1
@@ -498,6 +497,9 @@ def _unpack_components(archive, header: dict) -> dict:
     # every other backend's, so any relabel may run on the default
     if parameters.get("backend") == "dial":
         parameters["backend"] = "auto"
+    # the retired execution-mode switch: every build now runs the same
+    # recursion, so the recorded mode has nothing left to select
+    parameters.pop("parallel_mode", None)
 
     return {
         "graph": graph,

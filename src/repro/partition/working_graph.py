@@ -4,19 +4,21 @@ The recursive bisection repeatedly (a) restricts the graph to one side of a
 cut and (b) adds shortcut edges to keep it distance preserving.  Two
 representations cooperate:
 
-* the *mutable* ``dict[vertex, dict[neighbour, weight]]`` adjacency maps
-  keyed by original vertex ids (``WorkingAdjacency``) remain the format
-  child subgraphs are assembled in - shortcut edges are added in place -
-  and the reference the dict-based helpers here operate on;
-* the *search* side runs on an immutable CSR snapshot
+* the construction recursion runs on immutable CSR snapshots
   (:class:`~repro.core.flat.FlatWorkingGraph`, re-exported here as
-  :data:`CSRSnapshot`): the hierarchy builder flattens each node's
-  adjacency once and the partition, ranking, labelling and shortcut
-  passes all search that snapshot through the pluggable
-  :class:`~repro.core.backends.ShortestPathBackend` seam.  Snapshots
-  restrict with numpy array operations
-  (:meth:`~repro.core.flat.FlatWorkingGraph.induce`) instead of dict
-  comprehensions.
+  :data:`CSRSnapshot`): the builder flattens the core graph once, and
+  the partition, ranking, labelling and shortcut passes all search
+  snapshots through the pluggable
+  :class:`~repro.core.backends.ShortestPathBackend` seam.  Child
+  snapshots restrict with numpy array operations
+  (:meth:`~repro.core.flat.FlatWorkingGraph.induce`) and gain their
+  shortcuts by
+  :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`;
+* the *mutable* ``dict[vertex, dict[neighbour, weight]]`` adjacency maps
+  keyed by original vertex ids (``WorkingAdjacency``) are what the root
+  snapshot is flattened from, and the working format of relabelling
+  (:func:`repro.core.dynamic.relabel`), which assembles child subgraphs
+  by adding shortcut edges in place.
 
 The dict-based searches below are kept as the bit-identical reference
 (and for callers that hold plain adjacency maps); the snapshot paths
@@ -52,7 +54,7 @@ def adjacency_from_csr(snapshot: FlatWorkingGraph) -> WorkingAdjacency:
     exactly (dict insertion order is the edge order).  Lets dict-based
     helpers and tests consume subgraphs produced by the dict-free paths
     (:meth:`~repro.core.flat.FlatWorkingGraph.induce` /
-    :meth:`~repro.core.flat.FlatWorkingGraph.induce_with_shortcuts`).
+    :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`).
     """
     vertices = snapshot.vertices
     indptr, indices, weights = snapshot.indptr, snapshot.indices, snapshot.weights

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.construction import ConstructionStats, HC2LBuilder
+from repro.core.index import HC2LIndex
 from repro.graph.builders import complete_graph, graph_from_edges, grid_graph, star_graph
 from repro.graph.graph import Graph
 
@@ -41,7 +42,7 @@ class TestBuilderRecursionControl:
         hierarchy, labelling, stats = HC2LBuilder().build(Graph(1))
         assert len(hierarchy.nodes) == 1
         assert hierarchy.nodes[0].cut == [0]
-        assert labelling.labels[0] == [[0.0]]
+        assert labelling.to_labelling().labels[0] == [[0.0]]
 
     def test_complete_graph_terminates(self):
         # dense graphs have no small cuts; the builder must still terminate
@@ -64,10 +65,13 @@ class TestBuilderStats:
         assert stats.max_depth == hierarchy.height() - 1
 
     def test_timer_phases_recorded(self, small_graph):
-        _, _, stats = HC2LBuilder().build(small_graph)
+        index = HC2LIndex.build(small_graph, contract=False)
+        stats = index.stats
         phases = stats.timer.durations
-        assert {"hierarchy", "labelling", "shortcuts"} <= set(phases)
+        assert set(phases) == {"snapshot", "hierarchy", "labelling", "shortcuts", "flatten"}
         assert all(value >= 0 for value in phases.values())
+        # the phases are disjoint slices of the build
+        assert sum(phases.values()) <= index.construction_seconds
         flattened = stats.as_dict()
         assert flattened["total_seconds"] == pytest.approx(stats.timer.total())
 

@@ -1,4 +1,4 @@
-"""Tests for the parallel builder (HC2L_p) and dynamic weight updates."""
+"""Tests for the process-parallel build (HC2L_p) and dynamic weight updates."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.core.construction import HC2LBuilder
 from repro.core.dynamic import DynamicHC2LIndex, relabel
 from repro.core.index import HC2LIndex
-from repro.core.parallel import ParallelHC2LBuilder
 from repro.graph.search import dijkstra
 
 from helpers import assert_distance_equal, random_query_pairs
@@ -18,7 +17,7 @@ from helpers import assert_distance_equal, random_query_pairs
 class TestParallelBuilder:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ParallelHC2LBuilder(num_workers=0)
+            HC2LBuilder(num_workers=0)
 
     def test_parallel_build_is_exact(self, medium_graph, medium_oracle, query_pairs_medium):
         index = HC2LIndex.build(medium_graph, num_workers=4)
@@ -40,7 +39,7 @@ class TestParallelBuilder:
             assert parallel.distance(s, t) == pytest.approx(sequential.distance(s, t))
 
     def test_two_workers_small_threshold(self, small_graph, small_oracle):
-        builder = ParallelHC2LBuilder(num_workers=2, parallel_threshold=8)
+        builder = HC2LBuilder(num_workers=2, parallel_threshold=8)
         hierarchy, labelling, stats = builder.build(small_graph)
         assert hierarchy.check_vertex_assignment()
         assert stats.num_nodes == len(hierarchy.nodes)
@@ -48,7 +47,7 @@ class TestParallelBuilder:
     def test_empty_graph(self):
         from repro.graph.graph import Graph
 
-        hierarchy, labelling, stats = ParallelHC2LBuilder(num_workers=2).build(Graph(0))
+        hierarchy, labelling, stats = HC2LBuilder(num_workers=2).build(Graph(0))
         assert stats.num_nodes == 0
 
 

@@ -19,76 +19,19 @@ batch cannot hide behind a tolerance.
 from __future__ import annotations
 
 import random
-import zlib
 from typing import List, Tuple
 
 import numpy as np
 import pytest
 
 from repro.core.index import HC2LIndex
-from repro.graph.builders import caterpillar_graph, graph_from_edges
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
 from repro.serving import ShardRouter
 
+from helpers import fuzz_graph
+
 INF = float("inf")
-
-
-# --------------------------------------------------------------------- #
-# seeded graph generators (integer weights => exact float64 arithmetic)
-# --------------------------------------------------------------------- #
-def _random_tree(rng: random.Random, n: int) -> List[Tuple[int, int, float]]:
-    return [(rng.randrange(v), v, float(rng.randrange(1, 16))) for v in range(1, n)]
-
-
-def _fuzz_graph(case: str, seed: int) -> Graph:
-    """One deterministic fuzz graph per (case, seed)."""
-    # zlib.crc32 is stable across processes (str.hash is salted)
-    rng = random.Random(zlib.crc32(case.encode()) * 10_007 + seed)
-    if case == "caterpillar":
-        # a pure tree: the whole component contracts into one attachment
-        # tree, so EVERY off-diagonal pair takes the same-root path
-        spine = rng.randrange(6, 14)
-        legs = rng.randrange(1, 4)
-        return caterpillar_graph(spine, legs, weight=float(rng.randrange(1, 9)))
-    if case == "caterpillar_with_core":
-        # caterpillar + a chord closing a cycle: part of the spine
-        # survives as core, the fringe hangs off it in attachment trees
-        spine = rng.randrange(8, 16)
-        legs = rng.randrange(1, 4)
-        graph = caterpillar_graph(spine, legs, weight=float(rng.randrange(1, 9)))
-        graph.add_edge(0, spine - 1, float(rng.randrange(1, 16)))
-        graph.add_edge(0, spine // 2, float(rng.randrange(1, 16)))
-        return graph
-    if case == "random_tree":
-        n = rng.randrange(20, 70)
-        return graph_from_edges(_random_tree(rng, n), num_vertices=n)
-    if case == "tree_heavy":
-        # spanning tree plus very few extra edges: a small core with
-        # large attachment trees hanging off it
-        n = rng.randrange(30, 90)
-        edges = _random_tree(rng, n)
-        for _ in range(rng.randrange(1, 4)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                edges.append((u, v, float(rng.randrange(1, 16))))
-        return graph_from_edges(edges, num_vertices=n)
-    if case == "sparse":
-        n = rng.randrange(25, 80)
-        edges = _random_tree(rng, n)
-        for _ in range(n):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                edges.append((u, v, float(rng.randrange(1, 16))))
-        return graph_from_edges(edges, num_vertices=n)
-    if case == "disconnected":
-        # two tree-heavy components + an isolated vertex; cross pairs are inf
-        rng_a, rng_b = random.Random(seed * 3 + 1), random.Random(seed * 3 + 2)
-        n_a, n_b = rng_a.randrange(10, 30), rng_b.randrange(10, 30)
-        edges = _random_tree(rng_a, n_a)
-        edges += [(u + n_a, v + n_a, w) for u, v, w in _random_tree(rng_b, n_b)]
-        return graph_from_edges(edges, num_vertices=n_a + n_b + 1)
-    raise AssertionError(f"unknown fuzz case {case!r}")
 
 
 def _query_pairs(graph: Graph, index: HC2LIndex, seed: int) -> List[Tuple[int, int]]:
@@ -132,7 +75,7 @@ FUZZ_CASES = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestDifferentialFuzz:
     def test_engine_scalar_batch_and_dijkstra_agree(self, case, seed):
-        graph = _fuzz_graph(case, seed)
+        graph = fuzz_graph(case, seed)
         index = HC2LIndex.build(graph, leaf_size=4)
         pairs = _query_pairs(graph, index, seed)
         reference = _reference(graph, pairs)
@@ -145,7 +88,7 @@ class TestDifferentialFuzz:
         assert batch.tolist() == reference
 
     def test_shard_router_matches_engine(self, case, seed, tmp_path):
-        graph = _fuzz_graph(case, seed)
+        graph = fuzz_graph(case, seed)
         index = HC2LIndex.build(graph, leaf_size=4)
         pairs = _query_pairs(graph, index, seed)
         expected = index.distances(pairs)
@@ -161,7 +104,7 @@ class TestDifferentialFuzz:
             assert router.distance(s, t) == index.distance(s, t)
 
     def test_mmap_loaded_index_matches_engine(self, case, seed, tmp_path):
-        graph = _fuzz_graph(case, seed)
+        graph = fuzz_graph(case, seed)
         index = HC2LIndex.build(graph, leaf_size=4)
         pairs = _query_pairs(graph, index, seed)
         expected = index.distances(pairs)
@@ -186,18 +129,16 @@ class TestFlowMethodFuzz:
 
     def test_flow_methods_build_identical_labels(self, case):
         from repro.core.construction import HC2LBuilder
-        from repro.core.flat import FlatLabelling
         from repro.flow.vertex_cut import FLOW_METHODS
 
-        graph = _fuzz_graph(case, seed=1)
+        graph = fuzz_graph(case, seed=1)
         reference = None
         for method in FLOW_METHODS:
             _, labelling, _ = HC2LBuilder(leaf_size=4, flow_method=method).build(graph)
-            flat = FlatLabelling.from_labelling(labelling)
             if reference is None:
-                reference = flat
+                reference = labelling
             else:
-                assert flat == reference, f"flow_method={method!r} changed the labels"
+                assert labelling == reference, f"flow_method={method!r} changed the labels"
 
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
@@ -213,7 +154,7 @@ class TestIntegerWeightFuzz:
     """
 
     def test_csr_matches_heap(self, case, seed):
-        graph = _fuzz_graph(case, seed)
+        graph = fuzz_graph(case, seed)
         reference = HC2LIndex.build(graph, leaf_size=4, backend="heap")
         csr = HC2LIndex.build(graph, leaf_size=4, backend="csr")
         assert csr.flat_labelling() == reference.flat_labelling()
@@ -225,21 +166,13 @@ class TestIntegerWeightFuzz:
 
 @pytest.mark.parametrize("case", FUZZ_CASES)
 class TestProcessParallelFuzz:
-    """Process-mode construction is bit-identical across graph families."""
+    """Process-pool construction is bit-identical across graph families."""
 
     def test_process_build_matches_serial(self, case):
         from repro.core.construction import HC2LBuilder
-        from repro.core.flat import FlatLabelling
-        from repro.core.parallel import ParallelHC2LBuilder
 
-        graph = _fuzz_graph(case, seed=0)
+        graph = fuzz_graph(case, seed=0)
         _, reference, _ = HC2LBuilder(leaf_size=4).build(graph)
-        reference_flat = FlatLabelling.from_labelling(reference)
-
-        builder = ParallelHC2LBuilder(
-            leaf_size=4, parallel_mode="process", num_workers=2, parallel_threshold=8
-        )
+        builder = HC2LBuilder(leaf_size=4, num_workers=2, parallel_threshold=8)
         _, labelling, _ = builder.build(graph)
-        if not isinstance(labelling, FlatLabelling):
-            labelling = FlatLabelling.from_labelling(labelling)
-        assert labelling == reference_flat
+        assert labelling == reference

@@ -292,16 +292,20 @@ class TestFlatShortcutPaths:
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_induce_with_shortcuts_matches_child_adjacency(self, seed):
+        """The child snapshot ``node_step`` derives equals flattening the
+        dict-built child, edge order included (dict equality ignores it)."""
         from repro.partition.shortcuts import child_adjacency, compute_shortcuts
-        from repro.partition.working_graph import adjacency_from_csr
 
         adjacency, result, cut_distances = self._cut_setup(seed)
         flat = FlatWorkingGraph(adjacency)
         for part in (result.part_a, result.part_b):
             shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
-            reference = child_adjacency(adjacency, part, shortcuts)
-            child = flat.induce_with_shortcuts(part, shortcuts)
-            assert adjacency_from_csr(child) == reference
+            reference = FlatWorkingGraph(child_adjacency(adjacency, part, shortcuts))
+            child = flat.induce(part).overlay_shortcuts(shortcuts)
+            assert child.vertices == reference.vertices
+            assert child.indptr == reference.indptr
+            assert child.indices == reference.indices
+            assert child.weights == reference.weights
 
     @pytest.mark.parametrize("seed", [5, 19])
     def test_adjacency_from_csr_round_trips(self, seed):

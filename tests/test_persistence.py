@@ -23,7 +23,7 @@ from repro.core.persistence import (
     shard_directory,
 )
 
-from helpers import random_query_pairs
+from helpers import random_query_pairs, rewrite_archive
 
 
 @pytest.fixture(scope="module")
@@ -127,17 +127,6 @@ class TestValidation:
             HC2LIndex.load(tmp_path / "does-not-exist.npz")
 
 
-def _rewrite_archive(path, edit) -> None:
-    """Load a saved archive, let ``edit(header, arrays)`` mutate it, save it back."""
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-    edit(header, arrays)
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8).copy()
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-
-
 class TestVersionCompatibility:
     def test_version_1_archives_still_load(self, small_graph, built_index, tmp_path):
         """Archives written before the sharded layout (version 1) load fine."""
@@ -148,7 +137,7 @@ class TestVersionCompatibility:
             header["version"] = 1
             header.pop("label_layout", None)  # v1 headers predate the key
 
-        _rewrite_archive(path, to_v1)
+        rewrite_archive(path, to_v1)
         loaded = HC2LIndex.load(path)
         pairs = random_query_pairs(small_graph, 30, seed=9)
         assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
@@ -164,7 +153,7 @@ class TestVersionCompatibility:
             for name in ("hier_core_position", "hier_node_range_lo", "hier_node_range_hi"):
                 arrays.pop(name)
 
-        _rewrite_archive(path, to_v2)
+        rewrite_archive(path, to_v2)
         loaded = HC2LIndex.load(path)
         pairs = random_query_pairs(small_graph, 30, seed=9)
         assert loaded.distances(pairs).tolist() == built_index.distances(pairs).tolist()
@@ -183,7 +172,7 @@ class TestVersionCompatibility:
         def to_dial(header, arrays):
             header["parameters"]["backend"] = "dial"
 
-        _rewrite_archive(path, to_dial)
+        rewrite_archive(path, to_dial)
         loaded = HC2LIndex.load(path)
         assert loaded.parameters.backend == "auto"
         assert loaded.flat_labelling() == built_index.flat_labelling()

@@ -1,32 +1,23 @@
 """Tests for the process-parallel construction path.
 
-The process mode ships self-contained CSR work units to worker processes
-and streams the returned label blocks into the flat layout, so the key
-property is *bit-identity*: for every ``parallel_mode`` x ``backend`` x
+Builds with ``num_workers >= 2`` ship self-contained CSR work units to
+worker processes and stream the returned label blocks into the flat
+layout, so the key property is *bit-identity*: for every ``backend`` x
 ``num_workers`` combination the labels (and the hierarchy) must equal the
 serial heap build exactly - not approximately.
 """
 
 from __future__ import annotations
 
-import json
-
-import numpy as np
 import pytest
 
-from repro.core.construction import HC2LBuilder, PARALLEL_MODES, check_parallel_mode
+from repro.core.construction import HC2LBuilder
+from repro.core.dynamic import DynamicHC2LIndex, relabel
 from repro.core.flat import FlatLabelling
 from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.labelling import HC2LLabelling
-from repro.core.parallel import ParallelHC2LBuilder
 
-from helpers import assert_distance_equal
-
-
-def _flat_of(labelling) -> FlatLabelling:
-    if isinstance(labelling, FlatLabelling):
-        return labelling
-    return FlatLabelling.from_labelling(labelling)
+from helpers import assert_distance_equal, random_query_pairs, rewrite_archive
 
 
 def _hierarchy_signature(hierarchy):
@@ -37,33 +28,29 @@ def _hierarchy_signature(hierarchy):
 
 
 class TestBitIdentityMatrix:
-    """{thread, process} x {heap, csr} x {1, 2, 4} workers == serial heap."""
+    """{heap, csr} x {1, 2, 4} workers == serial heap."""
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    # every build with num_workers >= 2 runs on the process pool
+    @pytest.mark.parametrize("mode", ["process"])
     @pytest.mark.parametrize("backend", ["heap", "csr"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_labels_match_serial_heap(self, medium_graph, mode, backend, workers):
-        serial = HC2LBuilder(leaf_size=8, backend="heap")
-        _, reference, _ = serial.build(medium_graph)
-        reference_flat = _flat_of(reference)
-
-        builder = ParallelHC2LBuilder(
+        _, reference, _ = HC2LBuilder(leaf_size=8, backend="heap").build(medium_graph)
+        builder = HC2LBuilder(
             leaf_size=8,
             backend=backend,
             num_workers=workers,
-            parallel_mode=mode,
             parallel_threshold=16,
         )
         _, labelling, _ = builder.build(medium_graph)
-        assert _flat_of(labelling) == reference_flat
+        assert labelling == reference
 
     def test_process_hierarchy_matches_serial(self, medium_graph):
         serial_h, _, _ = HC2LBuilder(leaf_size=8, backend="csr").build(medium_graph)
-        builder = ParallelHC2LBuilder(
+        builder = HC2LBuilder(
             leaf_size=8,
             backend="csr",
             num_workers=2,
-            parallel_mode="process",
             parallel_threshold=16,
         )
         process_h, _, _ = builder.build(medium_graph)
@@ -73,50 +60,42 @@ class TestBitIdentityMatrix:
 
     def test_disconnected_graph(self, disconnected_graph):
         _, reference, _ = HC2LBuilder(leaf_size=2, backend="heap").build(disconnected_graph)
-        builder = ParallelHC2LBuilder(
+        builder = HC2LBuilder(
             leaf_size=2,
             backend="csr",
             num_workers=2,
-            parallel_mode="process",
             parallel_threshold=4,
         )
         _, labelling, _ = builder.build(disconnected_graph)
-        assert _flat_of(labelling) == _flat_of(reference)
+        assert labelling == reference
 
     def test_process_distances_exact(self, small_graph, small_oracle, query_pairs_small):
-        index = HC2LIndex.build(
-            small_graph, num_workers=2, parallel_mode="process", backend="csr"
-        )
+        index = HC2LIndex.build(small_graph, num_workers=2, backend="csr")
         for s, t in query_pairs_small:
             assert_distance_equal(small_oracle.distance(s, t), index.distance(s, t))
 
 
 class TestProcessFallback:
     def test_small_graph_builds_serially(self, small_graph):
-        # below the parallel threshold the coordinator runs the plain
-        # sequential builder: no tasks, nested labels
-        builder = ParallelHC2LBuilder(
-            num_workers=2, parallel_mode="process", parallel_threshold=256
-        )
+        # at or below the parallel threshold the builder runs the serial
+        # recursion: no pool tasks
+        builder = HC2LBuilder(num_workers=2, parallel_threshold=256)
         hierarchy, labelling, stats = builder.build(small_graph)
         assert stats.num_tasks == 0
-        assert isinstance(labelling, HC2LLabelling)
         _, reference, _ = HC2LBuilder().build(small_graph)
-        assert _flat_of(labelling) == _flat_of(reference)
+        assert labelling == reference
 
     def test_default_threshold_keeps_tiny_graphs_serial(self):
         from repro.graph.builders import path_graph
 
         graph = path_graph(40, weight=1.5)
-        builder = ParallelHC2LBuilder(num_workers=2, parallel_mode="process")
+        builder = HC2LBuilder(num_workers=2)
         _, labelling, stats = builder.build(graph)
         assert stats.num_tasks == 0
-        assert isinstance(labelling, HC2LLabelling)
+        assert isinstance(labelling, FlatLabelling)
 
     def test_large_enough_graph_ships_tasks(self, medium_graph):
-        builder = ParallelHC2LBuilder(
-            num_workers=2, parallel_mode="process", parallel_threshold=16, leaf_size=8
-        )
+        builder = HC2LBuilder(num_workers=2, parallel_threshold=16, leaf_size=8)
         hierarchy, labelling, stats = builder.build(medium_graph)
         assert stats.num_tasks > 0
         assert isinstance(labelling, FlatLabelling)
@@ -125,22 +104,12 @@ class TestProcessFallback:
     def test_empty_graph(self):
         from repro.graph.graph import Graph
 
-        hierarchy, labelling, stats = ParallelHC2LBuilder(
-            num_workers=2, parallel_mode="process"
-        ).build(Graph(0))
+        hierarchy, labelling, stats = HC2LBuilder(num_workers=2).build(Graph(0))
         assert stats.num_nodes == 0
         assert len(hierarchy.nodes) == 0
 
 
 class TestParameterValidation:
-    def test_unknown_parallel_mode_builder(self):
-        with pytest.raises(ValueError, match="unknown parallel_mode"):
-            ParallelHC2LBuilder(parallel_mode="fibers")
-
-    def test_unknown_parallel_mode_parameters(self):
-        with pytest.raises(ValueError, match="unknown parallel_mode"):
-            HC2LParameters(parallel_mode="gpu")
-
     def test_bad_worker_count_parameters(self):
         with pytest.raises(ValueError, match="num_workers must be >= 1"):
             HC2LParameters(num_workers=0)
@@ -149,50 +118,62 @@ class TestParameterValidation:
 
     def test_bad_worker_count_builder(self):
         with pytest.raises(ValueError, match="num_workers must be >= 1"):
-            ParallelHC2LBuilder(num_workers=0)
-
-    def test_check_parallel_mode_lists_known_modes(self):
-        for mode in PARALLEL_MODES:
-            check_parallel_mode(mode)
-        with pytest.raises(ValueError, match="thread"):
-            check_parallel_mode("nope")
+            HC2LBuilder(num_workers=0)
 
 
 class TestPersistenceRoundTrip:
-    def test_parallel_mode_round_trips(self, small_graph, tmp_path):
-        index = HC2LIndex.build(
-            small_graph, num_workers=2, parallel_mode="process", backend="csr"
-        )
-        path = tmp_path / "process.npz"
-        index.save(path)
-        loaded = HC2LIndex.load(path)
-        assert loaded.parameters.parallel_mode == "process"
-        assert loaded.parameters.num_workers == 2
-        assert loaded.flat_labelling() == index.flat_labelling()
+    def test_legacy_parallel_mode_headers_load(self, small_graph, tmp_path):
+        # archives from before the execution-mode switch was removed
+        # record "thread" or "process"; both load, answer exactly like
+        # the saved index and relabel
+        index = HC2LIndex.build(small_graph, num_workers=2, backend="csr")
+        pairs = random_query_pairs(small_graph, 40, seed=9)
+        u, v, weight = next(iter(small_graph.edges()))
+        reweighted = small_graph.reweighted({(u, v): 2 * weight})
+        expected = relabel(index, reweighted, changed_edges=[(u, v)]).distances(pairs)
+        for mode in ("thread", "process"):
+            path = tmp_path / f"{mode}.npz"
+            index.save(path)
+            rewrite_archive(
+                path, lambda header, _: header["parameters"].update(parallel_mode=mode)
+            )
+
+            loaded = HC2LIndex.load(path)
+            assert loaded.parameters == index.parameters
+            assert loaded.flat_labelling() == index.flat_labelling()
+            assert loaded.distances(pairs).tolist() == index.distances(pairs).tolist()
+
+            dynamic = DynamicHC2LIndex(small_graph, loaded.parameters)
+            dynamic.update_edge_weight(u, v, 2 * weight)
+            relabelled = relabel(loaded, reweighted, changed_edges=[(u, v)])
+            assert (
+                relabelled.distances(pairs).tolist()
+                == dynamic.distances(pairs).tolist()
+                == expected.tolist()
+            )
 
     def test_legacy_header_defaults(self, small_graph, tmp_path):
-        # a pre-parallel_mode archive (and one carrying a nonsensical
-        # num_workers) must load with today's defaults instead of tripping
-        # the new validation
+        # an archive without the execution-mode key (and one carrying a
+        # nonsensical num_workers) must load with today's defaults
+        # instead of tripping the validation
         index = HC2LIndex.build(small_graph)
         path = tmp_path / "legacy.npz"
         index.save(path)
 
-        archive = np.load(path, allow_pickle=False)
-        arrays = {name: archive[name] for name in archive.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode("utf-8"))
-        header["parameters"].pop("parallel_mode")
-        header["parameters"]["num_workers"] = 0
-        arrays["header"] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ).copy()
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+        def edit(header, arrays):
+            header["parameters"].pop("parallel_mode", None)
+            header["parameters"]["num_workers"] = 0
 
+        rewrite_archive(path, edit)
         loaded = HC2LIndex.load(path)
-        assert loaded.parameters.parallel_mode == "thread"
         assert loaded.parameters.num_workers == 1
         assert loaded.flat_labelling() == index.flat_labelling()
+
+    def test_parallel_mode_argument_rejected(self, small_graph):
+        with pytest.raises(TypeError, match="parallel_mode"):
+            HC2LParameters(parallel_mode="process")
+        with pytest.raises(TypeError, match="parallel_mode"):
+            HC2LIndex.build(small_graph, parallel_mode="thread")
 
 
 class TestStreamingAssembly:
