@@ -18,8 +18,9 @@ how the reference implementation described in the paper organises the work
 (the labelling searches "account for the majority" of construction time).
 
 The recursion is :func:`repro.core.flat_build.build_subtree`, over CSR
-snapshots.  A build snapshots the core graph once; a serial build runs the
-recursion on that root in-process, a parallel build (``num_workers >= 2``
+snapshots.  The root snapshot wraps the core graph's own CSR arrays
+(:meth:`~repro.core.flat.FlatWorkingGraph.from_graph`); a serial build
+runs the recursion on that root in-process, a parallel build (``num_workers >= 2``
 on graphs above ``parallel_threshold`` vertices; HC2L_p, Section 4.4)
 ships subtrees of it to a process pool (:mod:`repro.core.parallel`).
 Either way the subtree results are grafted into the hierarchy by
@@ -39,7 +40,6 @@ from repro.core.parallel import build_in_pool
 from repro.flow.vertex_cut import check_flow_method
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy
-from repro.partition.working_graph import working_graph_from
 from repro.utils.timer import Timer
 from repro.utils.validation import check_balance_parameter
 
@@ -162,7 +162,7 @@ class HC2LBuilder:
         if n == 0:
             return hierarchy, FlatLabelling.concat([]), stats
         with stats.timer.measure("snapshot"):
-            root = FlatWorkingGraph(working_graph_from(graph))
+            root = FlatWorkingGraph.from_graph(graph)
         if self.num_workers >= 2 and n > self.parallel_threshold:
             fragments = build_in_pool(self, root, hierarchy, stats)
         else:

@@ -8,6 +8,17 @@ module implements exactly that: :func:`relabel` re-runs the labelling pass
 of the construction over an *existing* hierarchy with new edge weights,
 skipping the expensive balanced-cut computations entirely.
 
+Relabelling runs on the construction's substrate: CSR snapshots
+(:class:`~repro.core.flat.FlatWorkingGraph`).  The root is the new core
+graph's CSR.  Every node ranks its inherited cut and computes its label
+arrays with the construction's per-node functions, and every child
+snapshot comes from :func:`repro.core.flat_build.derive_child`, as in
+:func:`~repro.core.flat_build.node_step`.  Two things exist only here.
+The scoped walk also derives the *old* snapshots, to find the subtrees
+whose working graph did not change and splice their labels over.  The
+crossing extension handles shortcuts that cross an inherited cut (see
+:func:`_crossing_extension`).
+
 Topology changes (adding or removing edges/vertices) are out of scope, as
 in the paper; :class:`DynamicHC2LIndex` raises for them and a full rebuild
 is required.
@@ -24,22 +35,15 @@ import numpy as np
 
 from repro.core.backends import ShortestPathBackend, resolve_backend
 from repro.core.construction import ConstructionStats
+from repro.core.flat import FlatWorkingGraph
+from repro.core.flat_build import derive_child
 from repro.core.index import HC2LIndex, HC2LParameters
 from repro.core.labelling import HC2LLabelling, node_distance_arrays
 from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.graph.contraction import ContractedGraph, contract_degree_one
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import BalancedTreeHierarchy, TreeNode
-from repro.partition.shortcuts import (
-    apply_shortcuts,
-    child_adjacency,
-    compute_shortcuts,
-)
-from repro.partition.working_graph import (
-    WorkingAdjacency,
-    restrict_adjacency,
-    working_graph_from,
-)
+from repro.partition.shortcuts import border_vertices
 
 INF = float("inf")
 
@@ -93,7 +97,7 @@ def relabel(
     core = contraction.core
     labelling = HC2LLabelling(core.num_vertices)
     stats = ConstructionStats()
-    adjacency = working_graph_from(core)
+    flat = FlatWorkingGraph.from_graph(core)
     # legacy pickled parameters may predate the backend field
     backend = resolve_backend(getattr(index.parameters, "backend", "auto"))
 
@@ -104,15 +108,15 @@ def relabel(
     scoped = changed_edges is not None and _scoping_pays(hierarchy, core_diff)
     extra: Dict[str, float] = {}
     if scoped:
-        old_adjacency = working_graph_from(index.contraction.core)
+        old_flat = FlatWorkingGraph.from_graph(index.contraction.core)
         delta = sorted({(min(u, v), max(u, v)) for u, v in core_diff})
         counters = {"recomputed": 0, "spliced": 0}
         for root in roots:
             _scoped_node(
                 index,
                 root,
-                old_adjacency,
-                adjacency,
+                old_flat,
+                flat,
                 delta,
                 new_hierarchy,
                 labelling,
@@ -129,7 +133,7 @@ def relabel(
     else:
         for root in roots:
             _relabel_node(
-                index, root, adjacency, new_hierarchy, labelling, stats, index.parameters, backend
+                index, root, flat, new_hierarchy, labelling, stats, index.parameters, backend
             )
 
     elapsed = time.perf_counter() - start
@@ -143,12 +147,6 @@ def relabel(
         construction_seconds=elapsed,
         extra=extra,
     )
-
-
-def _weight_diff(old: Graph, new: Graph) -> List[Tuple[int, int]]:
-    """Edges (normalised original-id keys) whose weight differs between the graphs."""
-    new_weights = {(u, v): w for u, v, w in new.edges()}
-    return [(u, v) for u, v, w in old.edges() if new_weights[(u, v)] != w]
 
 
 def _topology_checked_diff(old: Graph, new: Graph) -> List[Tuple[int, int]]:
@@ -271,8 +269,8 @@ def _scoping_pays(
 def _scoped_node(
     index: HC2LIndex,
     node: TreeNode,
-    old_adjacency: WorkingAdjacency,
-    new_adjacency: WorkingAdjacency,
+    old_flat: FlatWorkingGraph,
+    new_flat: FlatWorkingGraph,
     delta: Sequence[Tuple[int, int]],
     new_hierarchy: BalancedTreeHierarchy,
     labelling: HC2LLabelling,
@@ -287,7 +285,7 @@ def _scoped_node(
     subgraph's *content* (induced edges plus inherited shortcuts) and the
     cut vertex set - ranking and tail pruning both derive from the same
     distance searches.  ``delta`` is the exact set of (normalised) edge
-    keys on which ``old_adjacency`` and ``new_adjacency`` differ,
+    keys on which the ``old_flat`` and ``new_flat`` snapshots differ,
     maintained along the recursion; an empty delta means the two working
     graphs are identical, so the old labels of the whole subtree are
     exactly what a full relabel would recompute, and we splice them over
@@ -305,34 +303,20 @@ def _scoped_node(
     # plain per-node recompute, which handles the extension.  The old side
     # is checked too: an earlier relabel may have left crossing edges that
     # the old-side shortcut reconstruction below would not reproduce.
-    if _crossing_extension(new_adjacency, node, old_hierarchy) or _crossing_extension(
-        old_adjacency, node, old_hierarchy
+    if _crossing_extension(new_flat, node, old_hierarchy) or _crossing_extension(
+        old_flat, node, old_hierarchy
     ):
         _relabel_node(
-            index, node, new_adjacency, new_hierarchy, labelling, stats, parameters, backend
+            index, node, new_flat, new_hierarchy, labelling, stats, parameters, backend
         )
         return
     with stats.timer.measure("labelling"):
-        from repro.core.flat import FlatWorkingGraph
-
-        flat = FlatWorkingGraph(new_adjacency)
-        ranking: CutRanking = rank_cut_vertices(
-            new_adjacency, node.cut, flat=flat, backend=backend
-        )
+        ranking = rank_cut_vertices(new_flat, node.cut, backend=backend)
         arrays, cut_distances = node_distance_arrays(
-            new_adjacency, ranking, parameters.tail_pruning, flat=flat, backend=backend
+            new_flat, ranking, parameters.tail_pruning, backend=backend
         )
-    new_node = new_hierarchy.nodes[node.index]
-    new_node.cut = list(ranking.ordered)
-    for vertex in ranking.ordered:
-        new_hierarchy.vertex_node[vertex] = new_node.index
-        new_hierarchy.vertex_depth[vertex] = new_node.depth
-        new_hierarchy.vertex_bits[vertex] = new_node.bits
-    for vertex in new_adjacency:
-        labelling.append_level(vertex, arrays[vertex])
-    stats.num_nodes += 1
+    _record_node(new_hierarchy, node, ranking, new_flat, arrays, labelling, stats)
     if node.is_leaf:
-        stats.num_leaves += 1
         return
 
     old_cut = list(node.cut)
@@ -344,20 +328,19 @@ def _scoped_node(
         child_vertices = old_hierarchy.subtree_vertices(child_index)
         members = set(child_vertices)
         delta_within = [(u, v) for u, v in delta if u in members and v in members]
-        borders_old = _borders_from_cut(old_adjacency, old_cut, members)
-        borders_new = _borders_from_cut(new_adjacency, old_cut, members)
+        borders_old = border_vertices(old_flat, child_vertices, old_cut)
+        borders_new = border_vertices(new_flat, child_vertices, old_cut)
         children.append(
             (child_node, child_vertices, delta_within, borders_old, borders_new)
         )
 
     # Old-side cut distances.  Exact Dijkstra distances are determined by
-    # the adjacency floats alone (every relaxation evaluates the same
+    # the edge weights alone (every relaxation evaluates the same
     # ``dist[u] + w`` candidates, whatever the search order), so plain
     # ``sssp_many`` reproduces the original build's cut distance maps
     # bit-for-bit without the prune bookkeeping of the labelling pass.
     # Only border values are ever consulted (the splice test here and
     # ``dist_c.get(b)`` in Algorithm 3), so the maps cover borders only.
-    old_flat = FlatWorkingGraph(old_adjacency)
     old_rows = backend.sssp_many(old_flat, old_flat.dense_ids(old_cut))
     border_union = sorted(
         {b for _, _, _, bo, bn in children for b in bo}
@@ -389,37 +372,38 @@ def _scoped_node(
         ):
             _splice_subtree(index, child_node, labelling, stats, counters)
             continue
-        old_within = restrict_adjacency(old_adjacency, child_vertices)
-        new_within = restrict_adjacency(new_adjacency, child_vertices)
-        with stats.timer.measure("shortcuts"):
-            shortcuts = compute_shortcuts(
-                new_adjacency, ranking.ordered, child_vertices, cut_distances, backend=backend
-            )
-            apply_shortcuts(new_within, shortcuts)
-            old_shortcuts = compute_shortcuts(
-                old_adjacency, old_cut, child_vertices, old_cut_distances, backend=backend
-            )
-            apply_shortcuts(old_within, old_shortcuts)
+        new_child, shortcuts = derive_child(
+            new_flat,
+            ranking.ordered,
+            child_vertices,
+            cut_distances,
+            backend=backend,
+            timer=stats.timer,
+        )
+        old_child, old_shortcuts = derive_child(
+            old_flat,
+            old_cut,
+            child_vertices,
+            old_cut_distances,
+            backend=backend,
+            timer=stats.timer,
+        )
         stats.num_shortcuts += len(shortcuts)
         # exact child delta: inherited diffs plus any key a shortcut (on
         # either side) could have introduced or modified, value-compared
         candidates = set(delta_within)
-        candidates.update(
-            (min(s.u, s.v), max(s.u, s.v)) for s in shortcuts
-        )
-        candidates.update(
-            (min(s.u, s.v), max(s.u, s.v)) for s in old_shortcuts
-        )
+        candidates.update((min(s.u, s.v), max(s.u, s.v)) for s in shortcuts)
+        candidates.update((min(s.u, s.v), max(s.u, s.v)) for s in old_shortcuts)
         child_delta = [
             (u, v)
             for u, v in candidates
-            if old_within[u].get(v) != new_within[u].get(v)
+            if _edge_weight(old_child, u, v) != _edge_weight(new_child, u, v)
         ]
         _scoped_node(
             index,
             child_node,
-            old_within,
-            new_within,
+            old_child,
+            new_child,
             child_delta,
             new_hierarchy,
             labelling,
@@ -430,21 +414,10 @@ def _scoped_node(
         )
 
 
-def _borders_from_cut(
-    adjacency: WorkingAdjacency, cut: Sequence[int], partition: Set[int]
-) -> List[int]:
-    """Same set as :func:`border_vertices`, scanned from the cut side.
-
-    Borders are partition vertices adjacent to the cut; scanning the cut
-    vertices' (symmetric) neighbourhoods touches O(degree(cut)) edges
-    instead of every edge of the partition.
-    """
-    found: Set[int] = set()
-    for cut_vertex in cut:
-        for neighbour in adjacency[cut_vertex]:
-            if neighbour in partition:
-                found.add(neighbour)
-    return sorted(found)
+def _edge_weight(flat: FlatWorkingGraph, u: int, v: int) -> Optional[float]:
+    """Weight of the snapshot edge ``(u, v)`` (original ids), ``None`` if absent."""
+    position = flat.edge_position(flat.dense_id[u], flat.dense_id[v])
+    return None if position < 0 else float(flat.csr_arrays()[2][position])
 
 
 def _border_distances_equal(
@@ -499,7 +472,7 @@ def _splice_subtree(
 
 
 def _crossing_extension(
-    adjacency: WorkingAdjacency,
+    flat: FlatWorkingGraph,
     node: TreeNode,
     hierarchy: BalancedTreeHierarchy,
 ) -> List[int]:
@@ -518,21 +491,45 @@ def _crossing_extension(
     """
     if node.is_leaf or node.left is None or node.right is None:
         return []
-    left = set(hierarchy.subtree_vertices(node.left))
-    right = set(hierarchy.subtree_vertices(node.right))
-    extension: Set[int] = set()
-    for u in left:
-        for v in adjacency[u]:
-            if v in right:
-                extension.add(u)
-                extension.add(v)
-    return sorted(extension)
+    side = np.zeros(len(flat.vertices), dtype=np.int8)
+    side[flat.dense_ids(hierarchy.subtree_vertices(node.left))] = 1
+    side[flat.dense_ids(hierarchy.subtree_vertices(node.right))] = 2
+    _, heads, _ = flat.csr_arrays()
+    tails = flat.tails()
+    crossing = (side[tails] == 1) & (side[heads] == 2)
+    # both directions of an undirected edge are stored, so the left-to-right
+    # half names every crossing edge; sorted dense ids are sorted originals
+    ends = np.union1d(tails[crossing], heads[crossing])
+    return [flat.vertices[i] for i in ends.tolist()]
+
+
+def _record_node(
+    new_hierarchy: BalancedTreeHierarchy,
+    node: TreeNode,
+    ranking: CutRanking,
+    flat: FlatWorkingGraph,
+    arrays: Mapping[int, Sequence[float]],
+    labelling: HC2LLabelling,
+    stats: ConstructionStats,
+) -> None:
+    """Store a recomputed node: its ranked cut and one label level per vertex."""
+    new_node = new_hierarchy.nodes[node.index]
+    new_node.cut = list(ranking.ordered)
+    for vertex in ranking.ordered:
+        new_hierarchy.vertex_node[vertex] = new_node.index
+        new_hierarchy.vertex_depth[vertex] = new_node.depth
+        new_hierarchy.vertex_bits[vertex] = new_node.bits
+    for vertex in flat.vertices:
+        labelling.append_level(vertex, arrays[vertex])
+    stats.num_nodes += 1
+    if node.is_leaf:
+        stats.num_leaves += 1
 
 
 def _relabel_node(
     index: HC2LIndex,
     node: TreeNode,
-    adjacency: WorkingAdjacency,
+    flat: FlatWorkingGraph,
     new_hierarchy: BalancedTreeHierarchy,
     labelling: HC2LLabelling,
     stats: ConstructionStats,
@@ -541,23 +538,14 @@ def _relabel_node(
 ) -> None:
     """Recompute ranking, labels and shortcuts for one node of the old tree."""
     old_hierarchy = index.hierarchy
-    extension = _crossing_extension(adjacency, node, old_hierarchy)
+    extension = _crossing_extension(flat, node, old_hierarchy)
     with stats.timer.measure("labelling"):
-        from repro.core.flat import FlatWorkingGraph
-
-        flat = FlatWorkingGraph(adjacency)
-        ranking: CutRanking = rank_cut_vertices(
-            adjacency, node.cut, flat=flat, backend=backend
-        )
+        ranking = rank_cut_vertices(flat, node.cut, backend=backend)
         # Tail truncation would give the extension entries (appended below)
         # different positions in different vertices' arrays, breaking the
         # min-plus prefix alignment, so it is disabled on affected nodes.
         arrays, cut_distances = node_distance_arrays(
-            adjacency,
-            ranking,
-            parameters.tail_pruning and not extension,
-            flat=flat,
-            backend=backend,
+            flat, ranking, parameters.tail_pruning and not extension, backend=backend
         )
         if extension:
             vertices = flat.vertices
@@ -568,33 +556,32 @@ def _relabel_node(
                 }
                 for j, vertex in enumerate(vertices):
                     arrays[vertex].append(values[j])
-    new_node = new_hierarchy.nodes[node.index]
-    new_node.cut = list(ranking.ordered)
-    for vertex in ranking.ordered:
-        new_hierarchy.vertex_node[vertex] = new_node.index
-        new_hierarchy.vertex_depth[vertex] = new_node.depth
-        new_hierarchy.vertex_bits[vertex] = new_node.bits
-    for vertex in adjacency:
-        labelling.append_level(vertex, arrays[vertex])
-    stats.num_nodes += 1
+    _record_node(new_hierarchy, node, ranking, flat, arrays, labelling, stats)
     if node.is_leaf:
-        stats.num_leaves += 1
         return
 
     hubs = list(ranking.ordered) + extension if extension else ranking.ordered
     for child_index in (node.left, node.right):
         if child_index is None:
             continue
-        child_node = old_hierarchy.nodes[child_index]
-        child_vertices = old_hierarchy.subtree_vertices(child_index)
-        with stats.timer.measure("shortcuts"):
-            shortcuts = compute_shortcuts(
-                adjacency, hubs, child_vertices, cut_distances, backend=backend
-            )
-            child_adj = child_adjacency(adjacency, child_vertices, shortcuts)
+        child, shortcuts = derive_child(
+            flat,
+            hubs,
+            old_hierarchy.subtree_vertices(child_index),
+            cut_distances,
+            backend=backend,
+            timer=stats.timer,
+        )
         stats.num_shortcuts += len(shortcuts)
         _relabel_node(
-            index, child_node, child_adj, new_hierarchy, labelling, stats, parameters, backend
+            index,
+            old_hierarchy.nodes[child_index],
+            child,
+            new_hierarchy,
+            labelling,
+            stats,
+            parameters,
+            backend,
         )
 
 
@@ -619,23 +606,6 @@ def _copy_hierarchy_structure(hierarchy: BalancedTreeHierarchy) -> BalancedTreeH
             )
         )
     return clone
-
-
-def _check_same_topology(old: Graph, new: Graph) -> None:
-    """Both graphs must have identical vertex and edge sets."""
-    if old.num_vertices != new.num_vertices:
-        raise ValueError(
-            f"relabel requires identical topology; vertex counts differ "
-            f"({old.num_vertices} vs {new.num_vertices})"
-        )
-    if old.num_edges != new.num_edges:
-        raise ValueError(
-            f"relabel requires identical topology; edge counts differ "
-            f"({old.num_edges} vs {new.num_edges})"
-        )
-    for u, v, _ in old.edges():
-        if not new.has_edge(u, v):
-            raise ValueError(f"relabel requires identical topology; edge ({u}, {v}) is missing")
 
 
 def _check_same_contraction(old: ContractedGraph, new: ContractedGraph) -> None:

@@ -19,10 +19,11 @@ three pointer indirections.  This module provides the flat counterparts:
   lossless inverse - the basis of the sharded on-disk layout
   (:func:`repro.core.persistence.save_index_sharded`) and the
   :class:`~repro.serving.shards.ShardRouter`.
-* :class:`FlatWorkingGraph` - a CSR snapshot of a construction-time
-  working adjacency with dense local ids, shared by the per-cut-vertex
-  Dijkstra searches of the ranking and labelling passes (which repeatedly
-  traverse the same subgraph).
+* :class:`FlatWorkingGraph` - a CSR snapshot of a working subgraph with
+  dense local ids, the one graph representation of construction and
+  relabelling: every per-node step (cut, ranking, labelling, shortcuts)
+  searches it, and child snapshots are derived from it with array
+  operations.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (labelling imports us)
     from repro.core.labelling import HC2LLabelling
+    from repro.graph.graph import Graph
 
-#: dict-of-dicts adjacency keyed by original vertex ids.  Defined here (not
-#: imported from :mod:`repro.partition.working_graph`) so the partition layer
-#: can import the CSR snapshot without a circular dependency.
+#: dict-of-dicts adjacency keyed by original vertex ids: the argument of the
+#: reference constructor ``FlatWorkingGraph(adjacency)`` (see
+#: :mod:`repro.partition.working_graph`).
 WorkingAdjacency = Dict[int, Dict[int, float]]
 
 INF = float("inf")
@@ -436,12 +438,16 @@ class FlatLabelling:
 
 
 class FlatWorkingGraph:
-    """CSR snapshot of a working adjacency with dense local ids.
+    """CSR snapshot of a working subgraph with dense local ids.
 
-    The ranking and labelling passes run one Dijkstra per cut vertex over
-    the *same* working subgraph; flattening the dict-of-dicts once lets all
-    of those searches iterate plain lists with dense integer ids instead of
-    hashing original vertex ids on every edge relaxation.
+    Every per-node step of the construction and of relabelling (cut,
+    ranking, labelling, shortcuts) runs over one of these.  The root is
+    the core graph's own CSR (:meth:`from_graph`); each child is derived
+    with :meth:`induce` plus :meth:`overlay_shortcuts`.  Dense id ``i`` is
+    the ``i``-th smallest original vertex id, so sorted dense ids are
+    sorted original ids.  Snapshots are immutable: every derivation
+    builds new arrays, so a root may share its arrays with the
+    :class:`~repro.graph.graph.Graph` it came from.
 
     The snapshot also carries the state the pluggable shortest-path
     backends (:mod:`repro.core.backends`) need when they process all of a
@@ -455,6 +461,12 @@ class FlatWorkingGraph:
     __slots__ = ("vertices", "dense_id", "_indptr", "_indices", "_weights", "cache", "_np_csr")
 
     def __init__(self, adjacency: WorkingAdjacency) -> None:
+        """Flatten a dict-of-dicts adjacency.
+
+        The reference constructor: tests build snapshots of hand-made or
+        dict-derived subgraphs (:func:`~repro.partition.shortcuts.child_adjacency`)
+        with it to compare against the array derivations.
+        """
         #: dense id -> original vertex id, in sorted original-id order
         self.vertices: List[int] = sorted(adjacency)
         #: original vertex id -> dense id
@@ -515,7 +527,8 @@ class FlatWorkingGraph:
         ``indptr`` / ``indices`` / ``weights`` properties), so snapshots
         produced by array restrictions (:meth:`induce`) stay free of
         per-edge python objects on the vectorised backends.  Used by
-        :meth:`induce` and the process-parallel work units.
+        :meth:`from_graph`, :meth:`induce` and the process-parallel work
+        units.
         """
         snapshot = cls.__new__(cls)
         snapshot.vertices = list(vertices)
@@ -531,15 +544,22 @@ class FlatWorkingGraph:
         )
         return snapshot
 
+    @classmethod
+    def from_graph(cls, graph: "Graph") -> "FlatWorkingGraph":
+        """The snapshot of a whole graph, sharing its cached CSR arrays."""
+        csr = graph.csr()
+        return cls.from_csr_arrays(
+            range(graph.num_vertices), csr.indptr, csr.indices, csr.weights
+        )
+
     def induce(self, members: Sequence[int]) -> "FlatWorkingGraph":
         """The snapshot induced on ``members`` (original vertex ids).
 
-        The restriction runs entirely on the numpy CSR arrays - the flat
-        counterpart of
-        :func:`repro.partition.working_graph.restrict_adjacency`, without
-        touching a single dict.  Edge (and therefore relaxation) order is
-        preserved, so searches over the induced snapshot are bit-identical
-        to searches over a snapshot built from a restricted dict.
+        The restriction runs entirely on the numpy CSR arrays.  Edge (and
+        therefore relaxation) order is preserved: the result equals the
+        snapshot of the dict restriction
+        :func:`repro.partition.working_graph.restrict_adjacency`, the
+        reference the tests compare against.
         """
         indptr, indices, weights = self.csr_arrays()
         n = len(self.vertices)
@@ -565,13 +585,14 @@ class FlatWorkingGraph:
     def overlay_shortcuts(self, shortcuts: Sequence) -> "FlatWorkingGraph":
         """A snapshot with ``shortcuts`` overlaid on this one's edges.
 
-        Replicates the dict path's (``apply_shortcuts``) edge-order
-        semantics exactly so searches stay bit-identical: a shortcut that
-        improves an existing edge updates its weight *in place* (position
-        unchanged), a new shortcut edge is appended *after* the vertex's
-        existing edges, in shortcut order - precisely where a dict insert
-        would put it.  Returns ``self`` unchanged when there are no
-        shortcuts.
+        A shortcut that improves an existing edge updates its weight *in
+        place* (position unchanged); a new shortcut edge is appended
+        *after* the vertex's existing edges, in shortcut order - precisely
+        where a dict insert would put it, so the result equals the
+        snapshot of the reference
+        :func:`repro.partition.shortcuts.child_adjacency`.  The weights
+        are copied before any write, never changed in place.  Returns
+        ``self`` unchanged when there are no shortcuts.
         """
         snapshot = self
         if not shortcuts:
@@ -579,13 +600,6 @@ class FlatWorkingGraph:
         indptr, indices, weights = snapshot.csr_arrays()
         weights = weights.copy()
         dense_id = snapshot.dense_id
-
-        def edge_position(tail: int, head: int) -> int:
-            for i in range(int(indptr[tail]), int(indptr[tail + 1])):
-                if indices[i] == head:
-                    return i
-            return -1
-
         #: per dense vertex, the (head, weight) edges appended by shortcuts
         extras: Dict[int, List[Tuple[int, float]]] = {}
         for shortcut in shortcuts:
@@ -593,11 +607,11 @@ class FlatWorkingGraph:
             dv = dense_id.get(shortcut.v)
             if du is None or dv is None:
                 continue
-            position = edge_position(du, dv)
+            position = snapshot.edge_position(du, dv)
             if position >= 0:
                 if shortcut.weight < weights[position]:
                     weights[position] = shortcut.weight
-                    weights[edge_position(dv, du)] = shortcut.weight
+                    weights[snapshot.edge_position(dv, du)] = shortcut.weight
             else:
                 extras.setdefault(du, []).append((dv, shortcut.weight))
                 extras.setdefault(dv, []).append((du, shortcut.weight))
@@ -640,6 +654,13 @@ class FlatWorkingGraph:
                 np.asarray(self.weights, dtype=np.float64),
             )
         return self._np_csr
+
+    def edge_position(self, tail: int, head: int) -> int:
+        """CSR position of the edge ``tail -> head`` (dense ids), or -1."""
+        indptr, indices, _ = self.csr_arrays()
+        start = int(indptr[tail])
+        hits = np.flatnonzero(indices[start : int(indptr[tail + 1])] == head)
+        return start + int(hits[0]) if len(hits) else -1
 
     def dense_ids(self, vertices: Sequence[int]) -> List[int]:
         """Dense ids of a sequence of original vertex ids."""

@@ -6,11 +6,12 @@ so a subtree is self-contained and cheap to pickle: the serial build runs
 it on the root in-process, and the process-parallel build ships subtrees
 of the same recursion to worker processes.
 
+* :func:`derive_child` - one shortcut-enhanced child snapshot, derived
+  from the parent CSR by :meth:`~repro.core.flat.FlatWorkingGraph.induce`
+  plus :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`; the
+  construction and relabelling (:mod:`repro.core.dynamic`) both call it.
 * :func:`node_step` - one node of the interleaved construction (cut,
-  ranking, labelling arrays, shortcut-enhanced child snapshots), with the
-  child snapshots derived from the parent CSR by
-  :meth:`~repro.core.flat.FlatWorkingGraph.induce` plus
-  :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`.
+  ranking, labelling arrays, shortcut-enhanced child snapshots).
 * :func:`build_subtree` - the full recursion below one node, returning a
   picklable :class:`SubtreeResult`: the preorder node records needed to
   graft the subtree into the global hierarchy
@@ -35,7 +36,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.core.flat import FlatLabelling, FlatWorkingGraph
 from repro.core.labelling import node_distance_arrays
 from repro.core.ranking import CutRanking, rank_cut_vertices
 from repro.partition.cut import balanced_cut
-from repro.partition.shortcuts import compute_shortcuts
+from repro.partition.shortcuts import Shortcut, compute_shortcuts
 from repro.utils.timer import Timer
 
 if TYPE_CHECKING:
@@ -68,6 +69,35 @@ class NodeStep:
     #: wall-clock seconds the balanced cut took (0.0 for leaves); feeds
     #: the per-node cut-vs-label timing split in ConstructionStats
     seconds_cut: float = 0.0
+
+
+def derive_child(
+    flat: FlatWorkingGraph,
+    cut: Sequence[int],
+    part: Sequence[int],
+    cut_distances: Mapping[int, Mapping[int, float]],
+    *,
+    backend: ShortestPathBackend,
+    timer: Timer,
+) -> Tuple[FlatWorkingGraph, List[Shortcut]]:
+    """The shortcut-enhanced snapshot of child ``part`` (Definition 4.9).
+
+    Returns the child snapshot and the shortcuts overlaid on it.  The
+    child is induced once: the shortcut searches (Algorithm 3) run over
+    the restriction, then the overlay reuses the same snapshot.
+    ``cut_distances`` maps each vertex of ``cut`` to its distances over
+    ``flat``, as :func:`~repro.core.labelling.node_distance_arrays`
+    returns them.
+    """
+    with timer.measure("snapshot"):
+        within = flat.induce(part)
+    with timer.measure("shortcuts"):
+        shortcuts = compute_shortcuts(
+            flat, cut, part, cut_distances, backend=backend, within_flat=within
+        )
+    with timer.measure("snapshot"):
+        child = within.overlay_shortcuts(shortcuts)
+    return child, shortcuts
 
 
 def node_step(
@@ -95,7 +125,7 @@ def node_step(
         cut_started = time.perf_counter()
         with timer.measure("hierarchy"):
             cut_result = balanced_cut(
-                beta=beta, flat=flat, backend=backend, flow_method=flow_method
+                flat, beta=beta, backend=backend, flow_method=flow_method
             )
         seconds_cut = time.perf_counter() - cut_started
         if not cut_result.part_a or not cut_result.part_b:
@@ -103,12 +133,8 @@ def node_step(
 
     if force_leaf:
         with timer.measure("labelling"):
-            ranking = rank_cut_vertices(
-                None, list(flat.vertices), flat=flat, backend=backend
-            )
-            arrays, _ = node_distance_arrays(
-                None, ranking, tail_pruning, flat=flat, backend=backend
-            )
+            ranking = rank_cut_vertices(flat, list(flat.vertices), backend=backend)
+            arrays, _ = node_distance_arrays(flat, ranking, tail_pruning, backend=backend)
         return NodeStep(
             ranking=ranking,
             arrays=arrays,
@@ -119,31 +145,18 @@ def node_step(
 
     assert cut_result is not None
     with timer.measure("labelling"):
-        ranking = rank_cut_vertices(None, cut_result.cut, flat=flat, backend=backend)
+        ranking = rank_cut_vertices(flat, cut_result.cut, backend=backend)
         arrays, cut_distances = node_distance_arrays(
-            None, ranking, tail_pruning, flat=flat, backend=backend
+            flat, ranking, tail_pruning, backend=backend
         )
 
     children: List[Tuple[FlatWorkingGraph, str, int, int]] = []
     for part, side, bit in ((cut_result.part_a, "left", 0), (cut_result.part_b, "right", 1)):
         if not part:
             continue
-        # induce the child once: the shortcut searches run over the
-        # restriction, then the shortcut overlay reuses the same snapshot
-        with timer.measure("snapshot"):
-            within = flat.induce(part)
-        with timer.measure("shortcuts"):
-            shortcuts = compute_shortcuts(
-                None,
-                ranking.ordered,
-                part,
-                cut_distances,
-                backend=backend,
-                flat=flat,
-                within_flat=within,
-            )
-        with timer.measure("snapshot"):
-            child = within.overlay_shortcuts(shortcuts)
+        child, shortcuts = derive_child(
+            flat, ranking.ordered, part, cut_distances, backend=backend, timer=timer
+        )
         children.append((child, side, bit, len(shortcuts)))
     return NodeStep(
         ranking=ranking,

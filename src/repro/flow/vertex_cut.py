@@ -658,7 +658,8 @@ def is_vertex_cut(
 ) -> bool:
     """Check that removing ``cut`` disconnects every ``side_a`` vertex from ``side_b``.
 
-    Used by tests and by debug assertions in the hierarchy builder.
+    A dict-of-dicts reference check for the tests; no construction path
+    calls it.
     """
     cut_set = set(cut)
     targets = {v for v in side_b if v not in cut_set}

@@ -5,11 +5,11 @@ Road networks in the paper are undirected graphs with positive edge weights
 ``0..n-1``.  Parallel edges collapse to the minimum weight, matching the
 behaviour of the DIMACS datasets where duplicate arcs occasionally appear.
 
-The container is adjacency-list based (a list of ``(neighbour, weight)``
-lists).  This is the representation every algorithm in the repository works
-against; the partitioning code additionally builds lightweight dict-of-dict
-"working graphs" when it needs to mutate subgraphs (see
-:mod:`repro.partition`).
+The container is adjacency-list based (one ``{neighbour: weight}`` dict
+per vertex), with a cached CSR view (:meth:`Graph.csr`).  The search
+code works against one or the other; construction and relabelling wrap
+the core graph's CSR view as the root working-graph snapshot
+(:meth:`repro.core.flat.FlatWorkingGraph.from_graph`).
 """
 
 from __future__ import annotations
@@ -263,11 +263,12 @@ class Graph:
         return other
 
     def adjacency_dict(self, vertices: Optional[Iterable[int]] = None) -> Dict[int, Dict[int, float]]:
-        """Return a mutable dict-of-dicts view restricted to ``vertices``.
+        """Return a mutable dict-of-dicts copy restricted to ``vertices``.
 
-        This is the "working graph" representation used by the hierarchy
-        builder, which needs to remove cut vertices and add shortcut edges
-        without touching the original :class:`Graph`.
+        This is the reference working-graph form
+        (:mod:`repro.partition.working_graph`) the tests derive subgraphs
+        and distances from; the construction itself runs on CSR
+        snapshots.  Neighbour order is the edge order of :meth:`csr`.
         """
         if vertices is None:
             member = None

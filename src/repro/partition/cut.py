@@ -60,17 +60,16 @@ class BalancedCutResult:
 
 
 def balanced_cut(
-    adjacency: Optional[WorkingAdjacency] = None,
+    flat: FlatWorkingGraph,
     beta: float = 0.2,
-    flat: Optional[FlatWorkingGraph] = None,
     backend: BackendSpec = None,
     flow_method: Optional[str] = None,
 ) -> BalancedCutResult:
     """Compute a balanced vertex cut of a working subgraph (Algorithm 2).
 
-    ``adjacency`` may be omitted when a pre-built CSR snapshot is passed
-    as ``flat`` (the hierarchy builder shares one snapshot per node with
-    the ranking and labelling passes); ``backend`` selects the
+    ``flat`` is the subgraph's CSR snapshot (the hierarchy builder shares
+    one snapshot per node with the ranking and labelling passes);
+    ``backend`` selects the
     :class:`~repro.core.backends.ShortestPathBackend` running the seed
     searches, component scans and the max-flow solver.  ``flow_method``
     pins the max-flow solver to one of
@@ -81,17 +80,13 @@ def balanced_cut(
     parameter fails loudly before any search runs.
     """
     check_balance_parameter(beta)
-    if flat is None:
-        if adjacency is None:
-            raise ValueError("provide the subgraph as 'adjacency' or 'flat'")
-        flat = FlatWorkingGraph(adjacency)
     search = resolve_backend(backend)
     if flow_method is None or flow_method == "auto":
         flow_method = search.flow_method
     else:
         check_flow_method(flow_method, allow_auto=False)
 
-    partition = balanced_partition(beta=beta, flat=flat, backend=search)
+    partition = balanced_partition(flat, beta=beta, backend=search)
     initial_a, cut_region, initial_b = (
         partition.initial_a,
         partition.cut_region,
@@ -136,7 +131,8 @@ def balanced_cut(
     attach_t |= in_cut & touches_interior_b
 
     # Carve the flow region out of the CSR arrays: local ids are ascending
-    # dense ids, matching the sorted-vertex numbering of the dict path.
+    # dense ids, the sorted-vertex numbering minimum_st_vertex_cut gives a
+    # dict-of-dicts region.
     local = np.full(n, -1, dtype=np.int64)
     region_dense = np.nonzero(flow_mask)[0]
     local[region_dense] = np.arange(len(region_dense), dtype=np.int64)
@@ -205,7 +201,11 @@ def cut_statistics(results: List[BalancedCutResult]) -> Dict[str, float]:
 
 
 def separates(adjacency: WorkingAdjacency, result: BalancedCutResult) -> bool:
-    """Whether ``result.cut`` disconnects ``part_a`` from ``part_b`` (test helper)."""
+    """Whether ``result.cut`` disconnects ``part_a`` from ``part_b``.
+
+    A dict-of-dicts reference check for the tests; no construction path
+    calls it.
+    """
     cut_set = set(result.cut)
     target = set(result.part_b)
     if not result.part_a or not target:

@@ -9,23 +9,29 @@ to add shortcut edges between border vertices whose true distance is
 shorter than their within-partition distance.  Lemma 4.11 identifies
 redundant shortcuts (those realisable through a third border vertex),
 which this module eliminates to keep the working graphs sparse.
+
+:func:`compute_shortcuts` runs on the parent's CSR snapshot
+(:class:`~repro.core.flat.FlatWorkingGraph`); the caller overlays the
+result on the induced child snapshot
+(:meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`).  The
+dict-of-dicts helpers at the bottom (:func:`apply_shortcuts`,
+:func:`child_adjacency`, :func:`is_distance_preserving`) are the
+references the tests check the snapshot derivation against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.flat import FlatWorkingGraph
 from repro.partition.working_graph import (
     WorkingAdjacency,
     dijkstra_adjacency,
     restrict_adjacency,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.flat import FlatWorkingGraph
 
 INF = float("inf")
 
@@ -45,51 +51,39 @@ class Shortcut:
 
 
 def border_vertices(
-    adjacency: WorkingAdjacency, partition: Iterable[int], cut: Iterable[int]
+    flat: FlatWorkingGraph, partition: Iterable[int], cut: Iterable[int]
 ) -> List[int]:
-    """Vertices of ``partition`` adjacent to at least one cut vertex (Definition 4.7)."""
-    cut_set = set(cut)
-    return sorted(v for v in partition if any(w in cut_set for w in adjacency[v]))
+    """Vertices of ``partition`` adjacent to at least one cut vertex (Definition 4.7).
 
-
-def border_vertices_flat(
-    flat: "FlatWorkingGraph", partition: Iterable[int], cut: Iterable[int]
-) -> List[int]:
-    """CSR counterpart of :func:`border_vertices`: one edge-mask scan.
-
-    Same set in the same (sorted) order - dense ids ascend with original
-    ids - so the downstream shortcut enumeration is bit-identical to the
-    dict path.
+    One edge-mask scan over the snapshot; the result is sorted (dense ids
+    ascend with original ids), which fixes the shortcut enumeration order.
     """
-    indptr, indices, _ = flat.csr_arrays()
+    _, indices, _ = flat.csr_arrays()
     n = len(flat.vertices)
     part_mask = np.zeros(n, dtype=bool)
     part_mask[flat.dense_ids(partition)] = True
     cut_mask = np.zeros(n, dtype=bool)
     cut_mask[flat.dense_ids(cut)] = True
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    tails = flat.tails()
     border_dense = np.unique(tails[part_mask[tails] & cut_mask[indices]])
     return [flat.vertices[i] for i in border_dense.tolist()]
 
 
 def compute_shortcuts(
-    adjacency: Optional[WorkingAdjacency],
+    flat: FlatWorkingGraph,
     cut: Sequence[int],
     partition: Sequence[int],
     cut_distances: Mapping[int, Mapping[int, float]],
     backend: object = None,
-    flat: "FlatWorkingGraph | None" = None,
     within_flat: "FlatWorkingGraph | None" = None,
 ) -> List[Shortcut]:
     """Compute the non-redundant shortcuts for one partition (Algorithm 3).
 
     Parameters
     ----------
-    adjacency:
-        Working adjacency of the *parent* subgraph (partition + cut + the
-        other partition), which is distance preserving by induction.  May
-        be ``None`` when the parent's CSR snapshot is passed as ``flat``
-        instead (the dict-free construction path).
+    flat:
+        CSR snapshot of the *parent* subgraph (partition + cut + the other
+        partition), which is distance preserving by induction.
     cut:
         The cut vertices separating the partitions.
     partition:
@@ -101,12 +95,6 @@ def compute_shortcuts(
     backend:
         The :class:`~repro.core.backends.ShortestPathBackend` running the
         per-border searches (name, instance, or ``None`` for the default).
-    flat:
-        Optional CSR snapshot of the parent subgraph.  When given, the
-        borders come from one vectorised edge scan and the
-        within-partition subgraph is derived with
-        :meth:`~repro.core.flat.FlatWorkingGraph.induce` instead of a dict
-        restriction - same searches, same shortcuts, no dict churn.
     within_flat:
         Optional pre-induced snapshot of ``partition`` (must equal
         ``flat.induce(partition)``).  The construction passes it in and
@@ -118,29 +106,17 @@ def compute_shortcuts(
     list of Shortcut
         Shortcuts to add to the child working graph for ``partition``.
     """
-    if flat is not None:
-        borders = border_vertices_flat(flat, partition, cut)
-    elif adjacency is not None:
-        borders = border_vertices(adjacency, partition, cut)
-    else:
-        raise ValueError("provide the parent subgraph as 'adjacency' or 'flat'")
+    borders = border_vertices(flat, partition, cut)
     if len(borders) < 2:
         return []
 
-    # Lines 3-6: within-partition distances between border vertices.  The
-    # partition subgraph is flattened once (CSR, dense ids) and the
-    # backend searches from every border over it - same distances as
-    # searching the parent adjacency restricted to the partition, without
-    # per-edge membership checks or vertex-id hashing (and one batched
-    # scipy call for all borders under the csr backend).
+    # Lines 3-6: within-partition distances between border vertices: the
+    # backend searches from every border over the induced snapshot (one
+    # batched scipy call for all borders under the csr backend).
     from repro.core.backends import resolve_backend
-    from repro.core.flat import FlatWorkingGraph
 
     if within_flat is None:
-        if flat is not None:
-            within_flat = flat.induce(partition)
-        else:
-            within_flat = FlatWorkingGraph(restrict_adjacency(adjacency, partition))
+        within_flat = flat.induce(partition)
     border_dense = within_flat.dense_ids(borders)
     rows = resolve_backend(backend).sssp_many(within_flat, border_dense)
     within: Dict[int, Sequence[float]] = dict(zip(borders, rows))
@@ -188,9 +164,10 @@ def compute_shortcuts(
 def apply_shortcuts(child: WorkingAdjacency, shortcuts: Iterable[Shortcut]) -> int:
     """Add ``shortcuts`` to a child working adjacency (keeping minima).
 
-    Returns the number of shortcut edges that actually changed the child
-    graph (new edge or improved weight), which the construction statistics
-    report.
+    The reference for
+    :meth:`~repro.core.flat.FlatWorkingGraph.overlay_shortcuts`.  Returns
+    the number of shortcut edges that changed the child graph (new edge
+    or improved weight).
     """
     added = 0
     for shortcut in shortcuts:
@@ -236,7 +213,11 @@ def child_adjacency(
     partition: Sequence[int],
     shortcuts: Iterable[Shortcut],
 ) -> WorkingAdjacency:
-    """Build the shortcut-enhanced child working graph ``G<P>`` (Definition 4.9)."""
+    """Build the shortcut-enhanced child working graph ``G<P>`` (Definition 4.9).
+
+    The reference for ``flat.induce(partition).overlay_shortcuts(shortcuts)``,
+    the derivation construction and relabelling run.
+    """
     child = restrict_adjacency(adjacency, partition)
     apply_shortcuts(child, shortcuts)
     return child

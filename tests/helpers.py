@@ -119,3 +119,34 @@ def fuzz_graph(case: str, seed: int) -> Graph:
         edges += [(u + n_a, v + n_a, w) for u, v, w in _random_tree(rng_b, n_b)]
         return graph_from_edges(edges, num_vertices=n_a + n_b + 1)
     raise AssertionError(f"unknown fuzz case {case!r}")
+
+
+def scoped_fuzz_graph(case: str, seed: int) -> Graph:
+    """One deterministic graph per (case, seed) for the scoped-relabel fuzz."""
+    rng = random.Random(zlib.crc32(case.encode()) * 7919 + seed)
+    if case == "pendant_chains":
+        # caterpillar + chords: big attachment trees, changed pendant
+        # edges exercise the contraction-rebuild fallback
+        spine = rng.randrange(8, 16)
+        graph = caterpillar_graph(spine, 2, weight=float(rng.randrange(1, 9)))
+        graph.add_edge(0, spine - 1, float(rng.randrange(1, 16)))
+        return graph
+    if case == "sparse_core":
+        n = rng.randrange(30, 80)
+        edges = _random_tree(rng, n)
+        for _ in range(n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.append((u, v, float(rng.randrange(1, 16))))
+        return graph_from_edges(edges, num_vertices=n)
+    if case == "disconnected":
+        rng_a, rng_b = random.Random(seed * 5 + 1), random.Random(seed * 5 + 2)
+        n_a, n_b = rng_a.randrange(12, 30), rng_b.randrange(12, 30)
+        edges = _random_tree(rng_a, n_a)
+        for _ in range(n_a):
+            u, v = rng_a.randrange(n_a), rng_a.randrange(n_a)
+            if u != v:
+                edges.append((u, v, float(rng_a.randrange(1, 16))))
+        edges += [(u + n_a, v + n_a, w) for u, v, w in _random_tree(rng_b, n_b)]
+        return graph_from_edges(edges, num_vertices=n_a + n_b + 1)
+    raise AssertionError(f"unknown case {case!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.construction import ConstructionStats, HC2LBuilder
@@ -96,3 +97,37 @@ class TestBuilderStats:
         stats = ConstructionStats()
         assert stats.num_nodes == 0
         assert stats.timer.total() == 0.0
+
+
+class TestRootSnapshotSharing:
+    """The root snapshot wraps the core graph's cached CSR arrays, so
+    building and relabelling must never write into snapshot arrays."""
+
+    @pytest.mark.parametrize("backend", ["heap", "csr"])
+    def test_build_and_relabel_leave_graph_csr_untouched(self, jittered_grid, backend):
+        from repro.core.dynamic import relabel
+
+        def frozen(graph):
+            csr = graph.csr()
+            return [array.copy() for array in (csr.indptr, csr.indices, csr.weights)]
+
+        def unchanged(graph, before):
+            csr = graph.csr()
+            return all(
+                np.array_equal(a, b)
+                for a, b in zip((csr.indptr, csr.indices, csr.weights), before)
+            )
+
+        # without contraction the core is the input graph itself
+        before = frozen(jittered_grid)
+        index = HC2LIndex.build(jittered_grid, backend=backend, contract=False)
+        assert index.contraction.core is jittered_grid
+        assert unchanged(jittered_grid, before)
+
+        changed = {(u, v): 2.0 * w for u, v, w in list(jittered_grid.edges())[:6]}
+        new_graph = jittered_grid.reweighted(changed)
+        new_before = frozen(new_graph)
+        for declared in (None, changed):
+            relabel(index, new_graph, declared)
+            assert unchanged(jittered_grid, before)
+            assert unchanged(new_graph, new_before)

@@ -26,7 +26,6 @@ import json
 import math
 import random
 import threading
-import zlib
 from typing import List, Tuple
 
 import numpy as np
@@ -37,12 +36,13 @@ from repro.core.dynamic import DynamicHC2LIndex, relabel
 from repro.core.index import HC2LIndex
 from repro.core.persistence import MANIFEST_FILENAME, load_manifest, shard_directory
 from repro.experiments.dynamic import clustered_edge_changes, integerised
-from repro.graph.builders import caterpillar_graph, graph_from_edges
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
 from repro.graph.graph import Graph
 from repro.serving.fleet import FleetOracle
 from repro.serving.shards import ShardRouter
 from repro.serving.shm_cache import SharedPairCache
+
+from helpers import scoped_fuzz_graph
 
 
 @pytest.fixture(scope="module")
@@ -451,40 +451,6 @@ class TestDynamicBugSquash:
 # --------------------------------------------------------------------- #
 # scoped relabel differential fuzz
 # --------------------------------------------------------------------- #
-def _random_tree_edges(rng: random.Random, n: int) -> List[Tuple[int, int, float]]:
-    return [(rng.randrange(v), v, float(rng.randrange(1, 16))) for v in range(1, n)]
-
-
-def _scoped_fuzz_graph(case: str, seed: int) -> Graph:
-    rng = random.Random(zlib.crc32(case.encode()) * 7919 + seed)
-    if case == "pendant_chains":
-        # caterpillar + chords: big attachment trees, changed pendant
-        # edges exercise the contraction-rebuild fallback
-        spine = rng.randrange(8, 16)
-        graph = caterpillar_graph(spine, 2, weight=float(rng.randrange(1, 9)))
-        graph.add_edge(0, spine - 1, float(rng.randrange(1, 16)))
-        return graph
-    if case == "sparse_core":
-        n = rng.randrange(30, 80)
-        edges = _random_tree_edges(rng, n)
-        for _ in range(n):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                edges.append((u, v, float(rng.randrange(1, 16))))
-        return graph_from_edges(edges, num_vertices=n)
-    if case == "disconnected":
-        rng_a, rng_b = random.Random(seed * 5 + 1), random.Random(seed * 5 + 2)
-        n_a, n_b = rng_a.randrange(12, 30), rng_b.randrange(12, 30)
-        edges = _random_tree_edges(rng_a, n_a)
-        for _ in range(n_a):
-            u, v = rng_a.randrange(n_a), rng_a.randrange(n_a)
-            if u != v:
-                edges.append((u, v, float(rng_a.randrange(1, 16))))
-        edges += [(u + n_a, v + n_a, w) for u, v, w in _random_tree_edges(rng_b, n_b)]
-        return graph_from_edges(edges, num_vertices=n_a + n_b + 1)
-    raise AssertionError(f"unknown case {case!r}")
-
-
 @pytest.mark.parametrize("case", ["pendant_chains", "sparse_core", "disconnected"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestScopedRelabelFuzz:
@@ -498,7 +464,7 @@ class TestScopedRelabelFuzz:
         }
 
     def test_scoped_equals_full_equals_fresh(self, case, seed):
-        graph = _scoped_fuzz_graph(case, seed)
+        graph = scoped_fuzz_graph(case, seed)
         index = HC2LIndex.build(graph, leaf_size=4)
         for count in (1, 3, len(list(graph.edges())) // 2):
             changed = self._changed_subset(graph, seed + count, count)
@@ -513,7 +479,7 @@ class TestScopedRelabelFuzz:
             assert scoped.distances(pairs).tolist() == fresh.distances(pairs).tolist()
 
     def test_declared_superset_is_allowed(self, case, seed):
-        graph = _scoped_fuzz_graph(case, seed)
+        graph = scoped_fuzz_graph(case, seed)
         index = HC2LIndex.build(graph, leaf_size=4)
         changed = self._changed_subset(graph, seed, 2)
         declared = dict(changed)
@@ -527,7 +493,7 @@ class TestScopedRelabelFuzz:
         assert scoped.flat_labelling() == full.flat_labelling()
 
     def test_undeclared_change_raises(self, case, seed):
-        graph = _scoped_fuzz_graph(case, seed)
+        graph = scoped_fuzz_graph(case, seed)
         index = HC2LIndex.build(graph, leaf_size=4)
         changed = self._changed_subset(graph, seed, 2)
         if len(changed) < 2:
@@ -553,7 +519,7 @@ class TestCrossingShortcutRegression:
     def test_relabel_matches_dijkstra_all_pairs(self):
         from repro.graph.search import dijkstra
 
-        graph = _scoped_fuzz_graph("sparse_core", 0)
+        graph = scoped_fuzz_graph("sparse_core", 0)
         index = HC2LIndex.build(graph, leaf_size=4)
         changed = {(0, 1): 40.0}
         new_graph = graph.reweighted(changed)

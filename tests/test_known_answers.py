@@ -1,11 +1,13 @@
-"""Known-answer tests for HC2L construction.
+"""Known-answer tests for HC2L construction and relabelling.
 
 Fixed graphs with recorded digests of what the builder produces: the
 sha256 of the :class:`~repro.core.flat.FlatLabelling` buffers and of the
 hierarchy node records.  Every backend and the process-pool build must
 reproduce them bit for bit, so a change that moves a single label value,
 level boundary, cut order or hierarchy link fails here even when all
-execution paths still agree with each other.
+execution paths still agree with each other.  Relabelling
+(:func:`repro.core.dynamic.relabel`) is pinned the same way, for the full
+pass and the scoped walk.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.core.dynamic as dynamic
 from repro.core.construction import HC2LBuilder
+from repro.core.index import HC2LIndex
 
-from helpers import fuzz_graph
+from helpers import fuzz_graph, scoped_fuzz_graph
 
 
 #: name -> (graph factory taking the pytest ``request``, leaf_size,
@@ -91,3 +95,72 @@ def test_build_reproduces_known_digests(request, name, build):
     assert hierarchy_digest(hierarchy) == hierarchy_sha
     # the pool path must really have shipped work for the comparison to count
     assert (stats.num_tasks > 0) == (builder.num_workers >= 2)
+
+
+#: name -> (graph factory, changed edge weights, labels digest, hierarchy
+#: digest, (nodes recomputed, nodes spliced) of the scoped relabel or None
+#: when scoping does not pay, whether a cut-crossing shortcut appears).
+#: Index built with ``leaf_size=4``; full and scoped relabels agree.
+RELABEL_KNOWN_ANSWERS = {
+    "fuzz-sparse-1": (
+        lambda: fuzz_graph("sparse", 1),
+        {(3, 7): 39.0, (19, 36): 1.5},
+        "e6d0108dcb3abe6b59f48f7aa973f4993cec0efd853915956de1c3f0ea41e8a4",
+        "80160fb27fe64f77190b939d788d9b5649a6e5769be5d3bf7527ba5b3a659afa",
+        (2, 3),
+        False,
+    ),
+    # the scoped walk meets a crossing shortcut and falls back to the
+    # per-node recompute for that subtree
+    "crossing-scoped": (
+        lambda: scoped_fuzz_graph("sparse_core", 3),
+        {(7, 24): 24.0, (23, 45): 4.0},
+        "1ca5a6cf2f269d566ba8155387376ad71abfcac02d693e90f7093b571b30c18d",
+        "ca6e15c85875062553d084565c7ed5f2aab5233eeb45bfd30384face58fd6460",
+        (4, 5),
+        True,
+    ),
+    # the fixture of TestCrossingShortcutRegression: scoping does not pay,
+    # so both calls run the full pass, which promotes the crossing hubs
+    "crossing": (
+        lambda: scoped_fuzz_graph("sparse_core", 0),
+        {(0, 1): 40.0},
+        "9292f0ef70c42a556e866d56f34298e5f22b12ef9b4243ae3c3a3589f5fb999c",
+        "d6194cf5648581d804048f6a2cf51a4754fbac3837c541e5b8e6f47a69591c53",
+        None,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["heap", "csr"])
+@pytest.mark.parametrize("scoped", [False, True], ids=["full", "scoped"])
+@pytest.mark.parametrize("name", sorted(RELABEL_KNOWN_ANSWERS))
+def test_relabel_reproduces_known_digests(monkeypatch, name, scoped, backend):
+    make_graph, changed, labels_sha, hierarchy_sha, counts, crosses = (
+        RELABEL_KNOWN_ANSWERS[name]
+    )
+    extensions = []
+    find_extension = dynamic._crossing_extension
+
+    def spy(*args):
+        found = find_extension(*args)
+        extensions.extend(found)
+        return found
+
+    monkeypatch.setattr(dynamic, "_crossing_extension", spy)
+    graph = make_graph()
+    index = HC2LIndex.build(graph, leaf_size=4, backend=backend)
+    relabelled = dynamic.relabel(index, graph.reweighted(changed), changed if scoped else None)
+    assert labels_digest(relabelled.flat_labelling()) == labels_sha
+    assert hierarchy_digest(relabelled.hierarchy) == hierarchy_sha
+    assert bool(extensions) == crosses
+    summary = relabelled.describe()
+    if scoped and counts is not None:
+        assert summary["relabel_scoped"] == 1.0
+        assert (
+            summary["relabel_nodes_recomputed"],
+            summary["relabel_nodes_spliced"],
+        ) == counts
+    else:
+        assert "relabel_scoped" not in summary

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.flat import FlatWorkingGraph
 from repro.graph.builders import graph_from_edges, grid_graph, path_graph
 from repro.partition.cut import balanced_cut, separates
 from repro.partition.partition import balanced_partition
@@ -13,26 +14,19 @@ from repro.partition.shortcuts import (
     compute_shortcuts,
     is_distance_preserving,
 )
-from repro.partition.working_graph import (
-    add_edge,
-    dijkstra_adjacency,
-    farthest_vertex_adjacency,
-    num_edges,
-    restrict_adjacency,
-    working_graph_from,
-)
+from repro.partition.working_graph import dijkstra_adjacency, restrict_adjacency
 
 INF = float("inf")
 
 
 class TestWorkingGraph:
     def test_working_graph_from_graph(self, uniform_grid):
-        adjacency = working_graph_from(uniform_grid)
+        adjacency = uniform_grid.adjacency_dict()
         assert len(adjacency) == uniform_grid.num_vertices
-        assert num_edges(adjacency) == uniform_grid.num_edges
+        assert sum(len(nbrs) for nbrs in adjacency.values()) == 2 * uniform_grid.num_edges
 
     def test_restrict_adjacency(self, uniform_grid):
-        adjacency = working_graph_from(uniform_grid)
+        adjacency = uniform_grid.adjacency_dict()
         sub = restrict_adjacency(adjacency, range(10))
         assert set(sub) == set(range(10))
         assert all(w < 10 for nbrs in sub.values() for w in nbrs)
@@ -40,19 +34,10 @@ class TestWorkingGraph:
         sub[0][99] = 1.0
         assert 99 not in adjacency[0]
 
-    def test_add_edge_keeps_minimum(self):
-        adjacency = {0: {}, 1: {}}
-        add_edge(adjacency, 0, 1, 5.0)
-        add_edge(adjacency, 0, 1, 3.0)
-        add_edge(adjacency, 0, 1, 7.0)
-        assert adjacency[0][1] == 3.0
-        add_edge(adjacency, 0, 0, 1.0)  # self loops ignored
-        assert 0 not in adjacency[0]
-
     def test_dijkstra_adjacency_matches_graph_dijkstra(self, jittered_grid):
         from repro.graph.search import dijkstra
 
-        adjacency = working_graph_from(jittered_grid)
+        adjacency = jittered_grid.adjacency_dict()
         expected = dijkstra(jittered_grid, 0)
         result = dijkstra_adjacency(adjacency, 0)
         for v in jittered_grid.vertices():
@@ -63,40 +48,32 @@ class TestWorkingGraph:
         result = dijkstra_adjacency(adjacency, 0, allowed=[0, 1])
         assert 2 not in result
 
-    def test_farthest_vertex_adjacency(self):
-        adjacency = working_graph_from(path_graph(5, weight=2.0))
-        vertex, distance, _ = farthest_vertex_adjacency(adjacency, 0)
-        assert vertex == 4
-        assert distance == 8.0
-
 
 class TestBalancedPartition:
     @pytest.mark.parametrize("beta", [0.15, 0.2, 0.3])
     def test_partitions_cover_all_vertices(self, medium_graph, beta):
-        adjacency = working_graph_from(medium_graph)
-        result = balanced_partition(adjacency, beta)
+        result = balanced_partition(FlatWorkingGraph.from_graph(medium_graph), beta)
         union = set(result.initial_a) | set(result.cut_region) | set(result.initial_b)
-        assert union == set(adjacency)
+        assert union == set(medium_graph.vertices())
         assert not (set(result.initial_a) & set(result.initial_b))
 
     def test_initial_partitions_meet_minimum_size(self, medium_graph):
-        adjacency = working_graph_from(medium_graph)
         beta = 0.2
-        result = balanced_partition(adjacency, beta)
-        minimum = int(beta * len(adjacency)) - 1
+        result = balanced_partition(FlatWorkingGraph.from_graph(medium_graph), beta)
+        minimum = int(beta * medium_graph.num_vertices) - 1
         assert len(result.initial_a) >= minimum
         assert len(result.initial_b) >= minimum
 
     def test_invalid_beta_rejected(self, uniform_grid):
-        adjacency = working_graph_from(uniform_grid)
+        flat = FlatWorkingGraph.from_graph(uniform_grid)
         with pytest.raises(ValueError):
-            balanced_partition(adjacency, 0.0)
+            balanced_partition(flat, 0.0)
         with pytest.raises(ValueError):
-            balanced_partition(adjacency, 0.7)
+            balanced_partition(flat, 0.7)
 
     def test_empty_and_singleton_graphs(self):
-        assert balanced_partition({}, 0.2).sizes() == (0, 0, 0)
-        result = balanced_partition({5: {}}, 0.2)
+        assert balanced_partition(FlatWorkingGraph({}), 0.2).sizes() == (0, 0, 0)
+        result = balanced_partition(FlatWorkingGraph({5: {}}), 0.2)
         assert result.sizes() == (0, 1, 0)
         assert result.cut_region == [5]
 
@@ -107,7 +84,7 @@ class TestBalancedPartition:
             2: {3: 1.0}, 3: {2: 1.0},
             4: {5: 1.0}, 5: {4: 1.0},
         }
-        result = balanced_partition(adjacency, 0.3)
+        result = balanced_partition(FlatWorkingGraph(adjacency), 0.3)
         assert sorted(result.initial_a + result.cut_region + result.initial_b) == list(range(6))
         # with a dominant-free component structure the cut region gets a whole component
         assert len(result.initial_a) == 2
@@ -115,11 +92,11 @@ class TestBalancedPartition:
 
     def test_disconnected_dominant_component(self):
         grid, _ = grid_graph(5, 5, seed=1)
-        adjacency = working_graph_from(grid)
+        adjacency = grid.adjacency_dict()
         # add two isolated vertices
         adjacency[100] = {}
         adjacency[101] = {}
-        result = balanced_partition(adjacency, 0.2)
+        result = balanced_partition(FlatWorkingGraph(adjacency), 0.2)
         # the isolated vertices always land in the cut region
         assert 100 in result.cut_region and 101 in result.cut_region
 
@@ -128,48 +105,47 @@ class TestBalancedPartition:
         # other pass through the centre, creating one big equivalence class
         edges = [(i, 10, 1.0) for i in range(5)] + [(10, i, 1.0) for i in range(11, 16)]
         graph = graph_from_edges(edges, num_vertices=16)
-        adjacency = working_graph_from(graph)
-        result = balanced_partition(adjacency, 0.3)
+        result = balanced_partition(FlatWorkingGraph.from_graph(graph), 0.3)
         union = set(result.initial_a) | set(result.cut_region) | set(result.initial_b)
-        assert union == set(adjacency)
+        assert union == set(graph.vertices())
 
 
 class TestBalancedCut:
     @pytest.mark.parametrize("beta", [0.2, 0.3])
     def test_cut_separates_partitions(self, medium_graph, beta):
-        adjacency = working_graph_from(medium_graph)
-        result = balanced_cut(adjacency, beta)
+        adjacency = medium_graph.adjacency_dict()
+        result = balanced_cut(FlatWorkingGraph.from_graph(medium_graph), beta)
         assert separates(adjacency, result)
         union = set(result.part_a) | set(result.cut) | set(result.part_b)
         assert union == set(adjacency)
 
     def test_cut_is_small_on_grid(self):
         grid, _ = grid_graph(12, 12, seed=2, weight_jitter=0.2)
-        adjacency = working_graph_from(grid)
-        result = balanced_cut(adjacency, 0.25)
+        adjacency = grid.adjacency_dict()
+        result = balanced_cut(FlatWorkingGraph.from_graph(grid), 0.25)
         # a 12x12 grid has a vertex separator of at most 12 (one column/row)
         assert 0 < len(result.cut) <= 13
         assert separates(adjacency, result)
 
     def test_balance_bound_roughly_holds(self, medium_graph):
-        adjacency = working_graph_from(medium_graph)
         beta = 0.2
-        result = balanced_cut(adjacency, beta)
+        result = balanced_cut(FlatWorkingGraph.from_graph(medium_graph), beta)
         larger = max(len(result.part_a), len(result.part_b))
-        assert larger <= (1 - beta) * len(adjacency) + 1
+        assert larger <= (1 - beta) * medium_graph.num_vertices + 1
 
     def test_disconnected_graph_gets_empty_cut(self):
         adjacency = {
             0: {1: 1.0}, 1: {0: 1.0},
             2: {3: 1.0}, 3: {2: 1.0},
         }
-        result = balanced_cut(adjacency, 0.3)
+        result = balanced_cut(FlatWorkingGraph(adjacency), 0.3)
         assert result.cut == []
         assert separates(adjacency, result)
 
     def test_path_graph_cut(self):
-        adjacency = working_graph_from(path_graph(31))
-        result = balanced_cut(adjacency, 0.2)
+        path = path_graph(31)
+        adjacency = path.adjacency_dict()
+        result = balanced_cut(FlatWorkingGraph.from_graph(path), 0.2)
         assert len(result.cut) == 1
         assert separates(adjacency, result)
 
@@ -183,31 +159,33 @@ class TestBalancedCut:
 
 class TestShortcuts:
     def _cut_setup(self, graph, beta=0.25):
-        adjacency = working_graph_from(graph)
-        result = balanced_cut(adjacency, beta)
+        adjacency = graph.adjacency_dict()
+        flat = FlatWorkingGraph.from_graph(graph)
+        result = balanced_cut(flat, beta)
         cut_distances = {c: dijkstra_adjacency(adjacency, c) for c in result.cut}
-        return adjacency, result, cut_distances
+        return adjacency, flat, result, cut_distances
 
     def test_border_vertices_are_adjacent_to_cut(self, jittered_grid):
-        adjacency, result, _ = self._cut_setup(jittered_grid)
-        borders = border_vertices(adjacency, result.part_a, result.cut)
+        adjacency, flat, result, _ = self._cut_setup(jittered_grid)
+        borders = border_vertices(flat, result.part_a, result.cut)
         cut_set = set(result.cut)
-        for b in borders:
-            assert any(w in cut_set for w in adjacency[b])
+        assert borders == sorted(
+            v for v in result.part_a if any(w in cut_set for w in adjacency[v])
+        )
 
     def test_children_are_distance_preserving(self, jittered_grid):
-        adjacency, result, cut_distances = self._cut_setup(jittered_grid)
+        adjacency, flat, result, cut_distances = self._cut_setup(jittered_grid)
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             child = child_adjacency(adjacency, part, shortcuts)
             sample = part[:: max(1, len(part) // 8)]
             assert is_distance_preserving(adjacency, child, sample_vertices=sample)
 
     def test_without_shortcuts_distances_can_grow(self, jittered_grid):
-        adjacency, result, cut_distances = self._cut_setup(jittered_grid)
+        adjacency, flat, result, cut_distances = self._cut_setup(jittered_grid)
         needed = []
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             needed.extend(shortcuts)
         if not needed:
             pytest.skip("this cut produced no non-redundant shortcuts")
@@ -221,13 +199,13 @@ class TestShortcuts:
                     assert shortcut.weight < within.get(shortcut.v, INF)
 
     def test_shortcut_weights_are_true_distances(self, medium_graph, medium_oracle):
-        adjacency, result, cut_distances = self._cut_setup(medium_graph, beta=0.2)
+        _, flat, result, cut_distances = self._cut_setup(medium_graph, beta=0.2)
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             for shortcut in shortcuts:
                 expected = medium_oracle.distance(shortcut.u, shortcut.v)
                 assert shortcut.weight == pytest.approx(expected, rel=1e-6)
 
     def test_small_partition_without_borders_needs_no_shortcuts(self):
-        adjacency = {0: {1: 1.0}, 1: {0: 1.0}, 2: {}}
-        assert compute_shortcuts(adjacency, [], [0, 1], {}) == []
+        flat = FlatWorkingGraph({0: {1: 1.0}, 1: {0: 1.0}, 2: {}})
+        assert compute_shortcuts(flat, [], [0, 1], {}) == []

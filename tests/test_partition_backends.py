@@ -28,7 +28,6 @@ from repro.flow.vertex_cut import FLOW_METHODS, minimum_st_vertex_cut
 from repro.graph.builders import graph_from_edges
 from repro.partition.cut import balanced_cut, separates
 from repro.partition.partition import balanced_partition
-from repro.partition.working_graph import working_graph_from
 from repro.graph.generators import RoadNetworkSpec, synthetic_road_network
 
 
@@ -45,15 +44,15 @@ def _seeded_adjacency(seed: int, n_lo: int = 40, n_hi: int = 120):
         if u != v:
             edges.append((u, v, float(rng.randrange(1, 9))))
     graph = graph_from_edges(edges, num_vertices=n)
-    return working_graph_from(graph)
+    return graph.adjacency_dict()
 
 
 class TestCutBackendEquality:
     @pytest.mark.parametrize("seed", range(8))
     def test_heap_and_csr_cuts_are_identical(self, seed):
         adjacency = _seeded_adjacency(seed)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+        reference = balanced_cut(FlatWorkingGraph(adjacency), backend=HeapBackend())
+        fast = balanced_cut(FlatWorkingGraph(adjacency), backend=CSRBackend(min_vertices=0))
         assert reference.part_a == fast.part_a
         assert reference.cut == fast.cut
         assert reference.part_b == fast.part_b
@@ -70,8 +69,8 @@ class TestCutBackendEquality:
         # exercise both the python and the numpy Edmonds-Karp regions
         monkeypatch.setattr(vertex_cut_module, "_MATRIX_SMALL_REGION", 30)
         adjacency = _seeded_adjacency(seed)
-        reference = balanced_cut(adjacency, backend=HeapBackend())
-        fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+        reference = balanced_cut(FlatWorkingGraph(adjacency), backend=HeapBackend())
+        fast = balanced_cut(FlatWorkingGraph(adjacency), backend=CSRBackend(min_vertices=0))
         assert (reference.part_a, reference.cut, reference.part_b) == (
             fast.part_a,
             fast.cut,
@@ -88,9 +87,10 @@ class TestCutBackendEquality:
             {(u, v): float(max(1, round(w))) for u, v, w in floats.edges()}
         )
         for graph in (floats, integers):
-            adjacency = working_graph_from(graph)
-            reference = balanced_cut(adjacency, backend=HeapBackend())
-            fast = balanced_cut(adjacency, backend=CSRBackend(min_vertices=0))
+            reference = balanced_cut(FlatWorkingGraph.from_graph(graph), backend=HeapBackend())
+            fast = balanced_cut(
+                FlatWorkingGraph.from_graph(graph), backend=CSRBackend(min_vertices=0)
+            )
             assert (reference.part_a, reference.cut, reference.part_b) == (
                 fast.part_a,
                 fast.cut,
@@ -100,8 +100,8 @@ class TestCutBackendEquality:
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_backend_equality(self, seed):
         adjacency = _seeded_adjacency(seed, n_lo=20, n_hi=80)
-        a = balanced_partition(adjacency, backend=HeapBackend())
-        b = balanced_partition(adjacency, backend=CSRBackend(min_vertices=0))
+        a = balanced_partition(FlatWorkingGraph(adjacency), backend=HeapBackend())
+        b = balanced_partition(FlatWorkingGraph(adjacency), backend=CSRBackend(min_vertices=0))
         assert a.initial_a == b.initial_a
         assert a.cut_region == b.cut_region
         assert a.initial_b == b.initial_b
@@ -198,7 +198,7 @@ class TestCrossSolverFuzz:
         if force_kernels:
             self._force_kernels(monkeypatch)
         graph = caterpillar_graph(spine=9, legs=2, weight=3.0)
-        adjacency = working_graph_from(graph)
+        adjacency = graph.adjacency_dict()
         spine = list(range(9))  # vertices 0..spine-1 form the spine path
         result = self._assert_methods_agree(adjacency, {spine[0]}, {spine[-1]})
         # a path-shaped spine separates with one vertex
@@ -224,12 +224,12 @@ class TestCrossSolverFuzz:
 class TestValidationAndDedupe:
     @pytest.mark.parametrize("beta", [0.0, -0.1, 0.6, 1.5])
     def test_balanced_cut_validates_beta(self, beta):
-        adjacency = _seeded_adjacency(0, n_lo=10, n_hi=11)
+        flat = FlatWorkingGraph(_seeded_adjacency(0, n_lo=10, n_hi=11))
         with pytest.raises(ValueError, match="beta"):
-            balanced_cut(adjacency, beta)
+            balanced_cut(flat, beta)
 
     def test_balanced_cut_requires_a_subgraph(self):
-        with pytest.raises(ValueError, match="adjacency"):
+        with pytest.raises(TypeError, match="flat"):
             balanced_cut()
 
     def test_seed_search_memo_reuses_first_row(self):
@@ -247,77 +247,62 @@ class TestValidationAndDedupe:
         path = graph_from_edges(
             [(i, i + 1, 1.0) for i in range(30)], num_vertices=31
         )
-        balanced_partition(working_graph_from(path), backend=CountingBackend())
+        balanced_partition(FlatWorkingGraph.from_graph(path), backend=CountingBackend())
         # arbitrary start 0 -> seed_a = 30 -> farthest from 30 is 0 again:
         # exactly two searches run, the third reuses the first row
         assert calls == [0, 30]
 
 
 class TestFlatShortcutPaths:
-    """The dict-free shortcut/snapshot paths match the dict reference."""
+    """The snapshot shortcut paths match the dict reference."""
 
     def _cut_setup(self, seed: int):
         from repro.partition.working_graph import dijkstra_adjacency
 
         adjacency = _seeded_adjacency(seed, n_lo=50, n_hi=90)
-        result = balanced_cut(adjacency, beta=0.25)
+        flat = FlatWorkingGraph(adjacency)
+        result = balanced_cut(flat, beta=0.25)
         if not result.cut or not result.part_a:
             pytest.skip("degenerate cut for this seed")
         cut_distances = {
             c: dijkstra_adjacency(adjacency, c) for c in result.cut
         }
-        return adjacency, result, cut_distances
+        return adjacency, flat, result, cut_distances
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_compute_shortcuts_flat_matches_dict(self, seed):
+        """Shortcuts carry the dict-reference distance (exactly), each beats
+        the dict-reference within-partition distance, and a pre-induced
+        child snapshot gives the same list."""
         from repro.partition.shortcuts import compute_shortcuts
+        from repro.partition.working_graph import dijkstra_adjacency
 
-        adjacency, result, cut_distances = self._cut_setup(seed)
-        flat = FlatWorkingGraph(adjacency)
+        adjacency, flat, result, cut_distances = self._cut_setup(seed)
         for part in (result.part_a, result.part_b):
-            via_dict = compute_shortcuts(adjacency, result.cut, part, cut_distances)
-            via_flat = compute_shortcuts(
-                None, result.cut, part, cut_distances, flat=flat
-            )
+            via_flat = compute_shortcuts(flat, result.cut, part, cut_distances)
             via_within = compute_shortcuts(
-                None,
-                result.cut,
-                part,
-                cut_distances,
-                flat=flat,
-                within_flat=flat.induce(part),
+                flat, result.cut, part, cut_distances, within_flat=flat.induce(part)
             )
-            assert via_flat == via_dict
-            assert via_within == via_dict
+            assert via_within == via_flat
+            # integer weights: every path sum is exact, whatever the order
+            for shortcut in via_flat:
+                truth = dijkstra_adjacency(adjacency, shortcut.u)[shortcut.v]
+                within = dijkstra_adjacency(adjacency, shortcut.u, allowed=part)
+                assert shortcut.weight == truth
+                assert shortcut.weight < within.get(shortcut.v, float("inf"))
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_induce_with_shortcuts_matches_child_adjacency(self, seed):
-        """The child snapshot ``node_step`` derives equals flattening the
+        """The child snapshot ``derive_child`` builds equals flattening the
         dict-built child, edge order included (dict equality ignores it)."""
         from repro.partition.shortcuts import child_adjacency, compute_shortcuts
 
-        adjacency, result, cut_distances = self._cut_setup(seed)
-        flat = FlatWorkingGraph(adjacency)
+        adjacency, flat, result, cut_distances = self._cut_setup(seed)
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             reference = FlatWorkingGraph(child_adjacency(adjacency, part, shortcuts))
             child = flat.induce(part).overlay_shortcuts(shortcuts)
             assert child.vertices == reference.vertices
             assert child.indptr == reference.indptr
             assert child.indices == reference.indices
             assert child.weights == reference.weights
-
-    @pytest.mark.parametrize("seed", [5, 19])
-    def test_adjacency_from_csr_round_trips(self, seed):
-        from repro.partition.working_graph import adjacency_from_csr
-
-        adjacency = _seeded_adjacency(seed, n_lo=30, n_hi=60)
-        flat = FlatWorkingGraph(adjacency)
-        rebuilt = adjacency_from_csr(flat)
-        assert rebuilt == adjacency
-        # re-flattening reproduces the snapshot's exact edge order
-        again = FlatWorkingGraph(rebuilt)
-        assert again.vertices == flat.vertices
-        assert again.indptr == flat.indptr
-        assert again.indices == flat.indices
-        assert again.weights == flat.weights

@@ -24,12 +24,13 @@ from repro.baselines.h2h import H2HIndex
 from repro.baselines.hub_labelling import HubLabelling
 from repro.baselines.phl import PrunedHighwayLabelling
 from repro.baselines.pll import PrunedLandmarkLabelling
+from repro.core.flat import FlatWorkingGraph
 from repro.core.index import HC2LIndex
 from repro.graph.graph import Graph
 from repro.graph.search import dijkstra
 from repro.partition.cut import balanced_cut, separates
 from repro.partition.shortcuts import child_adjacency, compute_shortcuts, is_distance_preserving
-from repro.partition.working_graph import dijkstra_adjacency, working_graph_from
+from repro.partition.working_graph import dijkstra_adjacency
 
 INF = float("inf")
 
@@ -104,8 +105,8 @@ class TestPartitionProperties:
     @SETTINGS
     @given(weighted_graphs(min_vertices=6, max_vertices=30, connected=True), st.sampled_from([0.2, 0.3]))
     def test_balanced_cut_separates_and_covers(self, graph, beta):
-        adjacency = working_graph_from(graph)
-        result = balanced_cut(adjacency, beta)
+        adjacency = graph.adjacency_dict()
+        result = balanced_cut(FlatWorkingGraph.from_graph(graph), beta)
         union = set(result.part_a) | set(result.cut) | set(result.part_b)
         assert union == set(adjacency)
         assert separates(adjacency, result)
@@ -113,15 +114,25 @@ class TestPartitionProperties:
     @SETTINGS
     @given(weighted_graphs(min_vertices=8, max_vertices=28, connected=True))
     def test_shortcut_children_are_distance_preserving(self, graph):
-        adjacency = working_graph_from(graph)
-        result = balanced_cut(adjacency, 0.25)
+        adjacency = graph.adjacency_dict()
+        flat = FlatWorkingGraph.from_graph(graph)
+        result = balanced_cut(flat, 0.25)
         if not result.part_a or not result.part_b:
             return
         cut_distances = {c: dijkstra_adjacency(adjacency, c) for c in result.cut}
         for part in (result.part_a, result.part_b):
-            shortcuts = compute_shortcuts(adjacency, result.cut, part, cut_distances)
+            shortcuts = compute_shortcuts(flat, result.cut, part, cut_distances)
             child = child_adjacency(adjacency, part, shortcuts)
             assert is_distance_preserving(adjacency, child)
+            # the snapshot the construction derives is this reference child
+            overlay = flat.induce(part).overlay_shortcuts(shortcuts)
+            reference = FlatWorkingGraph(child)
+            assert (overlay.vertices, overlay.indptr, overlay.indices, overlay.weights) == (
+                reference.vertices,
+                reference.indptr,
+                reference.indices,
+                reference.weights,
+            )
 
 
 class TestHC2LProperties:
