@@ -8,9 +8,9 @@ stand-in datasets.  Two environment variables control their weight:
 ``REPRO_BENCH_SCALE``
     multiplies the synthetic dataset sizes (default 1).
 
-Every benchmark writes its reproduced rows to ``results/`` next to the
-repository root so the numbers recorded in EXPERIMENTS.md can be refreshed
-by re-running ``pytest benchmarks/ --benchmark-only``.
+Every benchmark writes its reproduced table or figure as text to
+``results/<name>.txt`` under the repository root (git-ignored); re-run
+``REPRO_BENCH_DATASETS=NY python -m pytest benchmarks -q`` to refresh them.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ overhead) or for whole batches at once (:meth:`distances`,
 LCA of Section 4.3 and the min-plus reduction are all vectorised over the
 contiguous distance buffer.
 
-The graph-level half of the batch path - range validation, contraction
-resolution and the vectorised LCA - lives in :class:`BatchResolver` so
-it is shared with oracles that gather labels from a *different* store,
-in particular the :class:`~repro.serving.shards.ShardRouter` fanning one
-batch out over several label shards.
+The graph-level half of the batch path - input coercion, range
+validation, contraction resolution and the vectorised LCA - lives in
+:class:`BatchResolver` so it is shared with oracles that gather labels
+from a *different* store, in particular the
+:class:`~repro.serving.shards.ShardRouter` fanning one batch out over
+several label shards.
 
 Both paths perform exactly the same float64 additions and minima as the
 original per-pair implementation, so batch results are bit-identical to
@@ -23,7 +24,7 @@ the scalar ones - the tests assert ``==``, not ``approx``.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 INF = float("inf")
 
-#: Deeper hierarchies than this cannot pack their path bitstrings into a
-#: non-negative int64, so the vectorised LCA falls back to scalar code.
-_MAX_VECTOR_DEPTH = 62
+#: Deeper hierarchies than this have path bitstrings that float64 cannot
+#: hold exactly, so the vectorised LCA (which reads ``bit_length`` as a
+#: float64 exponent) falls back to scalar code.
+_MAX_VECTOR_DEPTH = 53
 
 
 class BatchResolver:
@@ -51,6 +53,7 @@ class BatchResolver:
     Owns the graph-level state a batched HC2L query needs *before* any
     label array is touched: per-vertex attachment roots and root
     distances, the root's core id, and the bitstring LCA of Section 4.3.
+    :meth:`distances` runs a whole batch around the caller's min-plus.
     :class:`QueryEngine` delegates to it for the monolithic labelling;
     :class:`~repro.serving.shards.ShardRouter` reuses it unchanged over a
     partitioned label store.
@@ -74,7 +77,7 @@ class BatchResolver:
         self._vector_lca = max_depth <= _MAX_VECTOR_DEPTH
         if self._vector_lca:
             self._vertex_bits = np.asarray(hierarchy.vertex_bits, dtype=np.int64)
-        else:  # pragma: no cover - needs a >62-level hierarchy
+        else:
             self._vertex_bits = None
 
     def __getstate__(self) -> dict:
@@ -86,6 +89,31 @@ class BatchResolver:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._tree_resolver_lock = threading.Lock()
+
+    def distances(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        core_distances: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Answer a pair batch: coerce, validate, resolve, then fill.
+
+        ``core_distances(cs, ct)`` returns a fresh ``float64`` array of
+        core-graph distances between core ids (0 where they are equal);
+        the label store behind it is the caller's.  Every pair gets its
+        root offsets added to that, then the pairs :meth:`resolve` answered
+        inside the attachment trees are overwritten.
+        """
+        pair_array = as_pair_array(pairs)
+        if pair_array.size == 0:
+            return np.empty(0, dtype=np.float64)
+        s = np.ascontiguousarray(pair_array[:, 0])
+        t = np.ascontiguousarray(pair_array[:, 1])
+        self.validate_vertices(s, t)
+        cs, ct, offsets, fixed, answers = self.resolve(s, t)
+        out = core_distances(cs, ct)
+        out += offsets
+        out[fixed] = answers
+        return out
 
     def validate_vertices(self, s: np.ndarray, t: np.ndarray) -> None:
         """Range-check both endpoint arrays (original vertex ids)."""
@@ -101,28 +129,30 @@ class BatchResolver:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Resolve the contraction bookkeeping of a validated pair batch.
 
-        Returns ``(out, core_mask, cs, ct, offsets)``: ``out`` already
-        holds the answers of pairs resolved inside the attachment trees
-        (identical endpoints, shared root); for the rest - flagged by
-        ``core_mask`` - the caller computes the core distances between
-        ``cs`` and ``ct`` and adds ``offsets``.
+        Returns ``(cs, ct, offsets, fixed, answers)`` covering *every*
+        pair: the core ids of both attachment roots and the sum of both
+        root distances, so ``offsets + core distance`` answers a pair
+        whose roots differ.  The pairs at the indices ``fixed`` share a
+        root (identical endpoints, or one attachment tree; their ``cs``
+        and ``ct`` are equal) and are answered by ``answers`` instead.
         """
-        out = np.zeros(len(s), dtype=np.float64)
-        same = s == t
-        root_s = self._root[s]
-        root_t = self._root[t]
-        same_root = (root_s == root_t) & ~same
-        if same_root.any():
-            # both endpoints hang off the same attachment tree: answered by
-            # the Euler-tour RMQ resolver (vectorised; bit-identical to the
-            # scalar tree_lca_distance walk)
-            out[same_root] = self.tree_resolver.distances(s[same_root], t[same_root])
-
-        core_mask = ~same & ~same_root
-        cs = self._root_core[s[core_mask]]
-        ct = self._root_core[t[core_mask]]
-        offsets = self._dist_to_root[s[core_mask]] + self._dist_to_root[t[core_mask]]
-        return out, core_mask, cs, ct, offsets
+        cs = self._root_core[s]
+        ct = self._root_core[t]
+        offsets = self._dist_to_root[s]
+        offsets += self._dist_to_root[t]
+        # roots are core vertices, so equal root core ids mean a shared root
+        fixed = np.flatnonzero(cs == ct)
+        answers = np.zeros(len(fixed), dtype=np.float64)
+        if len(fixed):
+            fixed_s = s[fixed]
+            fixed_t = t[fixed]
+            tree = fixed_s != fixed_t
+            if tree.any():
+                # both endpoints hang off the same attachment tree: answered
+                # by the Euler-tour RMQ resolver (vectorised; bit-identical
+                # to the scalar tree_lca_distance walk)
+                answers[tree] = self.tree_resolver.distances(fixed_s[tree], fixed_t[tree])
+        return cs, ct, offsets, fixed, answers
 
     def attach_tree_resolver(self, resolver: TreeDistanceResolver) -> None:
         """Install a pre-built (e.g. sidecar-loaded) Euler-tour resolver.
@@ -157,22 +187,22 @@ class BatchResolver:
 
     def lca_depths(self, cs: np.ndarray, ct: np.ndarray) -> np.ndarray:
         """Vectorised Section 4.3 LCA depth (common bitstring prefix length)."""
-        if not self._vector_lca:  # pragma: no cover - needs a >62-level hierarchy
+        if not self._vector_lca:
             lca_depth = self.hierarchy.lca_depth
             return np.asarray(
                 [lca_depth(int(a), int(b)) for a, b in zip(cs, ct)], dtype=np.int64
             )
         depth_u = self._vertex_depth[cs]
         depth_v = self._vertex_depth[ct]
-        bits_u = self._vertex_bits[cs]
-        bits_v = self._vertex_bits[ct]
-        shift = depth_u - depth_v
-        bits_u = np.where(shift > 0, bits_u >> np.maximum(shift, 0), bits_u)
-        bits_v = np.where(shift < 0, bits_v >> np.maximum(-shift, 0), bits_v)
         common = np.minimum(depth_u, depth_v)
-        diff = bits_u ^ bits_v
-        # bit_length(0) == 0, so the diff == 0 case needs no special branch
-        return common - _bit_length(diff)
+        depth_u -= common
+        depth_v -= common
+        diff = self._vertex_bits[cs] >> depth_u
+        diff ^= self._vertex_bits[ct] >> depth_v
+        # below 2**53 the float64 conversion is exact, so the binary
+        # exponent frexp returns is int.bit_length (0 for 0: no branch)
+        common -= np.frexp(diff.astype(np.float64))[1]
+        return common
 
 
 class QueryEngine:
@@ -279,16 +309,7 @@ class QueryEngine:
         pairs get ``inf``.  Results are bit-identical to calling
         :meth:`distance` per pair.
         """
-        pair_array = as_pair_array(pairs)
-        if pair_array.size == 0:
-            return np.empty(0, dtype=np.float64)
-        s = np.ascontiguousarray(pair_array[:, 0])
-        t = np.ascontiguousarray(pair_array[:, 1])
-        self.resolver.validate_vertices(s, t)
-        out, core_mask, cs, ct, offsets = self.resolver.resolve(s, t)
-        if core_mask.any():
-            out[core_mask] = offsets + self._core_distances(cs, ct)
-        return out
+        return self.resolver.distances(pairs, self._core_distances)
 
     def one_to_many(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """Distances from ``s`` to every vertex in ``targets`` (batched)."""
@@ -308,7 +329,7 @@ class QueryEngine:
 
     # ------------------------------------------------------------------ #
     def _core_distances(self, cs: np.ndarray, ct: np.ndarray) -> np.ndarray:
-        """Vectorised min-plus for arrays of core vertex pairs (cs != ct allowed equal)."""
+        """Vectorised min-plus for arrays of core vertex pairs (cs == ct gives 0)."""
         depth = self.resolver.lca_depths(cs, ct)
 
         k_s = self._vertex_indptr[cs] + depth
@@ -323,39 +344,24 @@ class QueryEngine:
         result = np.full(len(cs), INF, dtype=np.float64)
         equal = cs == ct
         result[equal] = 0.0
-        lengths = np.where(equal, 0, lengths)
+        lengths[equal] = 0
 
         total = int(lengths.sum())
         if total == 0:
             return result
 
         # Grouped gather: for pair p with shared prefix length L_p, generate
-        # flat indices start[p] .. start[p] + L_p - 1 for both sides.
+        # flat indices start[p] .. start[p] + L_p - 1 for both sides, as
+        # repeat(start - group_start) + arange(total).
         group_starts = np.cumsum(lengths) - lengths
-        within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, lengths)
-        idx_s = np.repeat(start_s, lengths) + within
-        idx_t = np.repeat(start_t, lengths) + within
-        sums = self._values[idx_s] + self._values[idx_t]
+        positions = np.arange(total, dtype=np.int64)
+        idx_s = np.repeat(start_s - group_starts, lengths)
+        idx_s += positions
+        idx_t = np.repeat(start_t - group_starts, lengths)
+        idx_t += positions
+        sums = self._values[idx_s]
+        sums += self._values[idx_t]
 
         nonempty = lengths > 0
-        mins = np.minimum.reduceat(sums, group_starts[nonempty])
-        result[nonempty] = mins
+        result[nonempty] = np.minimum.reduceat(sums, group_starts[nonempty])
         return result
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Element-wise ``int.bit_length`` for non-negative int64 arrays."""
-    x = x.astype(np.uint64)
-    # smear the highest set bit downwards, then count the set bits with a
-    # SWAR popcount (np.bitwise_count needs numpy >= 2.0, which the repo
-    # does not require)
-    for shift in (1, 2, 4, 8, 16, 32):
-        x = x | (x >> np.uint64(shift))
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h01) >> np.uint64(56)).astype(np.int64)

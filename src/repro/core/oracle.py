@@ -32,13 +32,19 @@ HC2L's engine vectorises everything).
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, Tuple, runtime_checkable
+import struct
+from itertools import starmap
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 INF = float("inf")
 
 PairLike = Sequence[Tuple[int, int]]
+
+#: one ``(s, t)`` pair as two native int64s; ``pack`` refuses anything but
+#: exactly two integers (``__index__``) that fit in an int64
+_PAIR = struct.Struct("=qq")
 
 
 @runtime_checkable
@@ -97,7 +103,18 @@ def as_vertex_ids(array: np.ndarray, name: str) -> np.ndarray:
 
 
 def as_pair_array(pairs: PairLike) -> np.ndarray:
-    """Normalise a pair batch to an ``(n, 2)`` int64 array (may be empty)."""
+    """Normalise a pair batch to an ``(n, 2)`` int64 array (may be empty).
+
+    A non-empty list or tuple of pairs of integers is packed in one typed
+    pass, skipping ``np.asarray``'s dtype discovery.  Anything that pass
+    refuses - floats, strings, ``None``, ids beyond int64, pairs not of
+    two items, and all-0/1 batches (which may be all ``bool``) - takes
+    the ``np.asarray`` path and gets its answer or its error.
+    """
+    if isinstance(pairs, (list, tuple)) and pairs:
+        pair_array = _typed_pair_array(pairs)
+        if pair_array is not None:
+            return pair_array
     pair_array = np.asarray(pairs)
     if pair_array.size == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -106,6 +123,20 @@ def as_pair_array(pairs: PairLike) -> np.ndarray:
             f"pairs must be a sequence of (s, t) tuples, got shape {pair_array.shape}"
         )
     return as_vertex_ids(pair_array, "pairs")
+
+
+def _typed_pair_array(pairs: Sequence) -> Optional[np.ndarray]:
+    """The ``(n, 2)`` int64 array of ``pairs``, or ``None`` to fall back."""
+    try:
+        # packing each pair on its own checks its length too, so
+        # [(0, 1, 2), (3,)] cannot flatten into two misaligned pairs
+        packed = bytearray().join(starmap(_PAIR.pack, pairs))
+    except (struct.error, TypeError):  # TypeError: a pair is not iterable
+        return None
+    pair_array = np.frombuffer(packed, dtype=np.int64).reshape(-1, 2)
+    if pair_array.max() <= 1:
+        return None  # possibly all bool, which np.asarray rejects by dtype
+    return pair_array
 
 
 def pairs_from_source(s: int, targets) -> np.ndarray:

@@ -25,6 +25,11 @@ vertex range for multi-worker serving:
   range (the same member names as the single archive, so the per-shard
   mmap sidecar machinery of :func:`mmap_label_arrays` applies unchanged).
 
+Generation ``g > 0`` names its files ``base.gG.npz`` and
+``shard-NNNN.gG.npz``, so a reader pinned to an older manifest never
+opens a file the writer is replacing; the previous generation's files are
+deleted once the new manifest is in place.
+
 Loading validates headers first and raises a clear ``ValueError`` on
 anything that is not a compatible archive.  Version-1 single archives
 (written before the sharded layout existed) still load; pre-existing
@@ -71,7 +76,6 @@ SUPPORTED_SHARDED_VERSIONS = (1, 2)
 #: accepted ``vertex_order`` manifest values
 VERTEX_ORDERS = ("identity", "hierarchy")
 MANIFEST_FILENAME = "manifest.json"
-BASE_FILENAME = "base.npz"
 
 TREE_SIDECAR_FORMAT = "hc2l-tree-resolver"
 TREE_SIDECAR_VERSION = 1
@@ -597,6 +601,11 @@ def shard_directory(path: Union[str, Path]) -> Path:
     return Path(str(path) + ".shards")
 
 
+def _generation_filename(stem: str, generation: int) -> str:
+    """``stem.npz`` at generation 0, ``stem.gN.npz`` at generation N."""
+    return f"{stem}.npz" if generation == 0 else f"{stem}.g{generation}.npz"
+
+
 def save_index_sharded(
     index: "HC2LIndex",
     path: Union[str, Path],
@@ -629,7 +638,9 @@ def save_index_sharded(
     ``generation=None`` the writer bumps the generation of any manifest
     already present at the layout (a fresh layout starts at 0); the
     manifest's atomic tmp+rename means readers see either the old complete
-    generation or the new one, never a torn mix.
+    generation or the new one, never a torn mix: each generation writes
+    its own file names, so the old generation's files stay intact until
+    the new manifest replaces the old one.
     """
     from repro.hierarchy.tree import derive_shard_boundaries
 
@@ -663,12 +674,13 @@ def save_index_sharded(
 
     shard_dir = shard_directory(path)
     shard_dir.mkdir(parents=True, exist_ok=True)
-    _write_npz(shard_dir / BASE_FILENAME, _base_arrays(index, label_layout="sharded"))
+    base_name = _generation_filename("base", generation)
+    _write_npz(shard_dir / base_name, _base_arrays(index, label_layout="sharded"))
 
     edges = [int(b) for b in boundaries]
     shards: List[dict] = []
     for k, part in enumerate(parts):
-        filename = f"shard-{k:04d}.npz"
+        filename = _generation_filename(f"shard-{k:04d}", generation)
         _write_npz(
             shard_dir / filename,
             {
@@ -691,7 +703,7 @@ def save_index_sharded(
     manifest = {
         "format": SHARDED_FORMAT_NAME,
         "version": SHARDED_FORMAT_VERSION,
-        "base": BASE_FILENAME,
+        "base": base_name,
         "generation": generation,
         "core_num_vertices": flat.num_vertices,
         "num_original": index.contraction.num_original,
@@ -706,16 +718,20 @@ def save_index_sharded(
     temporary.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     os.replace(temporary, manifest_path)  # readers never see a torn manifest
 
-    # re-sharding over an existing layout with more shards leaves orphans
-    # behind; drop any shard archive - and its label-sized mmap sidecar
-    # directory - the new manifest does not reference
-    current = {shard["file"] for shard in shards}
-    for stale in shard_dir.glob("shard-*.npz"):
+    # the previous generation (and, after a re-shard, any shard index the
+    # new layout no longer has) is orphaned now; drop every archive - and
+    # its label-sized mmap sidecar directory - the new manifest does not
+    # reference
+    current = {shard["file"] for shard in shards} | {base_name}
+    for stale in [*shard_dir.glob("shard-*.npz"), *shard_dir.glob("base*.npz")]:
         if stale.name not in current:
-            stale.unlink()
+            stale.unlink(missing_ok=True)
     for sidecar in shard_dir.glob("shard-*.npz.mmap"):
         if sidecar.name[: -len(".mmap")] not in current:
-            shutil.rmtree(sidecar)
+            # a reader still pinned to the old manifest may be extracting
+            # into it; that reader fails over to the new generation, and
+            # whatever it leaves behind goes with the next publish
+            shutil.rmtree(sidecar, ignore_errors=True)
     return shard_dir
 
 
@@ -765,14 +781,25 @@ def load_manifest(path: Union[str, Path]) -> Tuple[Path, dict]:
     return shard_dir, manifest
 
 
-def load_shard(path: Union[str, Path], shard_id: int, mmap: bool = False) -> FlatLabelling:
+def load_shard(
+    path: Union[str, Path],
+    shard_id: int,
+    mmap: bool = False,
+    manifest: Optional[dict] = None,
+) -> FlatLabelling:
     """Load one shard's labelling (local vertex ids, re-based buffers).
 
     With ``mmap=True`` the buffers are extracted into per-shard ``.npy``
     sidecars (``shard-NNNN.npz.mmap/``) and mapped read-only, so every
-    worker serving the shard shares one physical copy.
+    worker serving the shard shares one physical copy.  A caller pinned
+    to a ``manifest`` it read earlier passes it, and gets that
+    generation's shard (or ``FileNotFoundError`` once it is deleted),
+    never a newer one written since.
     """
-    shard_dir, manifest = load_manifest(path)
+    if manifest is None:
+        shard_dir, manifest = load_manifest(path)
+    else:
+        shard_dir = shard_directory(path)
     shards = manifest["shards"]
     if not 0 <= shard_id < len(shards):
         raise ValueError(f"shard {shard_id} out of range; layout has {len(shards)} shards")
@@ -826,7 +853,7 @@ def load_index_sharded(path: Union[str, Path]) -> "HC2LIndex":
     from repro.core.index import HC2LIndex
 
     components, manifest, _ = load_sharded_components(path)
-    parts = [load_shard(path, k) for k in range(len(manifest["shards"]))]
+    parts = [load_shard(path, k, manifest=manifest) for k in range(len(manifest["shards"]))]
     flat = FlatLabelling.concat(parts)
     if manifest["vertex_order"] == "hierarchy":
         # position p of the concatenation holds the labels of the vertex at

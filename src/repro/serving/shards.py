@@ -30,13 +30,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro.core.engine import BatchResolver
 from repro.core.flat import FlatLabelling
-from repro.core.oracle import BatchMixin, as_pair_array, pairs_from_source
+from repro.core.oracle import BatchMixin, pairs_from_source
 from repro.core.persistence import load_manifest, load_shard, load_sharded_components
 from repro.core.query import min_plus_prefix
 from repro.utils.validation import check_vertex
@@ -77,6 +77,14 @@ class RouterStats:
             "shard_loads": self.shard_loads,
             "reloads": self.reloads,
         }
+
+
+T = TypeVar("T")
+
+
+class GenerationMoved(RuntimeError):
+    """A shard load found the layout on disk at another generation than the
+    router serves; :meth:`ShardRouter.reload_generation` adopts it."""
 
 
 class ShardRouter(BatchMixin):
@@ -176,7 +184,8 @@ class ShardRouter(BatchMixin):
         queue behind it instead of erroring; the old shard mappings are
         closed only after the swap, so the drained batches finished on a
         consistent snapshot.  Concurrent reloads serialise; a reload that
-        lost the race to a newer generation is a no-op.
+        finds no newer generation on disk (another caller swapped first,
+        or it lost the race to a newer reload) is a no-op.
         """
         components, manifest, _ = load_sharded_components(self.path)
         with self._swap:
@@ -184,8 +193,8 @@ class ShardRouter(BatchMixin):
                 self._swap.wait()
             if self._closed:
                 raise RuntimeError(f"ShardRouter over {self.path} is closed")
-            if int(manifest.get("generation", 0)) < self.generation:
-                return self.generation  # raced with a newer reload
+            if int(manifest.get("generation", 0)) <= self.generation:
+                return self.generation  # nothing newer to adopt
             old_shards: List[Optional[FlatLabelling]] = []
             self._reloading = True
             try:
@@ -261,13 +270,24 @@ class ShardRouter(BatchMixin):
                         f"since this router opened; re-open the ShardRouter"
                     )
                 if int(manifest.get("generation", 0)) != self.generation:
-                    raise RuntimeError(
+                    raise GenerationMoved(
                         f"{self.path} moved to generation "
                         f"{manifest.get('generation', 0)} since this router "
                         f"adopted generation {self.generation}; call "
                         f"reload_generation() to hot-swap"
                     )
-                shard = load_shard(self.path, shard_id, mmap=self._mmap)
+                # load through the pinned manifest: a newer generation has
+                # its own file names, and deletes these only after its
+                # manifest is in place
+                try:
+                    shard = load_shard(
+                        self.path, shard_id, mmap=self._mmap, manifest=self.manifest
+                    )
+                except FileNotFoundError as error:
+                    raise GenerationMoved(
+                        f"{self.path} no longer holds {error.filename} of generation "
+                        f"{self.generation}; call reload_generation() to hot-swap"
+                    ) from error
                 self._shards[shard_id] = shard
                 self.stats.shard_loads += 1
         return shard
@@ -321,32 +341,44 @@ class ShardRouter(BatchMixin):
     # ------------------------------------------------------------------ #
     def distance(self, s: int, t: int) -> float:
         """Exact distance between ``s`` and ``t`` (original ids)."""
-        self._begin_query()
-        try:
-            n = self.contraction.num_original
-            check_vertex(s, n, "s")
-            check_vertex(t, n, "t")
-            resolved, core_s, core_t, offset = self.contraction.resolve_query(s, t)
-            if resolved is not None:
-                return resolved
-            return offset + self._core_scalar(core_s, core_t)[0]
-        finally:
-            self._end_query()
+        return self.distance_with_hub_count(s, t)[0]
 
     def distance_with_hub_count(self, s: int, t: int) -> Tuple[float, int]:
         """Distance plus the number of label entries inspected."""
+        return self._serve(lambda: self._scalar(s, t))
+
+    def _serve(self, query: Callable[[], T]) -> T:
+        """Run ``query`` on one generation, hot-swapping at most once.
+
+        A lazy shard load that finds another generation on disk cannot
+        finish on the generation this router pinned (a writer deletes the
+        old files once its manifest is in place), so the router adopts
+        the generation on disk and runs the whole query again there.
+        Either way the answer comes from a single generation.
+        """
         self._begin_query()
         try:
-            n = self.contraction.num_original
-            check_vertex(s, n, "s")
-            check_vertex(t, n, "t")
-            resolved, core_s, core_t, offset = self.contraction.resolve_query(s, t)
-            if resolved is not None:
-                return resolved, 0
-            value, hubs = self._core_scalar(core_s, core_t)
-            return offset + value, hubs
+            return query()
+        except GenerationMoved:
+            pass
         finally:
             self._end_query()
+        self.reload_generation()
+        self._begin_query()
+        try:
+            return query()
+        finally:
+            self._end_query()
+
+    def _scalar(self, s: int, t: int) -> Tuple[float, int]:
+        n = self.contraction.num_original
+        check_vertex(s, n, "s")
+        check_vertex(t, n, "t")
+        resolved, core_s, core_t, offset = self.contraction.resolve_query(s, t)
+        if resolved is not None:
+            return resolved, 0
+        value, hubs = self._core_scalar(core_s, core_t)
+        return offset + value, hubs
 
     def _core_scalar(self, core_s: int, core_t: int) -> Tuple[float, int]:
         """Min-plus over the (possibly distinct) shards of two core vertices."""
@@ -369,22 +401,11 @@ class ShardRouter(BatchMixin):
         the shard owning each source vertex and re-assembled in input
         order; bit-identical to the monolithic engine.
         """
-        self._begin_query()
-        try:
-            pair_array = as_pair_array(pairs)
-            if pair_array.size == 0:
-                return np.empty(0, dtype=np.float64)
-            s = np.ascontiguousarray(pair_array[:, 0])
-            t = np.ascontiguousarray(pair_array[:, 1])
-            self.resolver.validate_vertices(s, t)
-            out, core_mask, cs, ct, offsets = self.resolver.resolve(s, t)
+        out = self._serve(lambda: self.resolver.distances(pairs, self._core_distances))
+        if len(out):
             with self._lock:
                 self.stats.batches += 1
-            if core_mask.any():
-                out[core_mask] = offsets + self._core_distances(cs, ct)
-            return out
-        finally:
-            self._end_query()
+        return out
 
     def one_to_many(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """Distances from ``s`` to every vertex of ``targets`` (one source
@@ -408,9 +429,10 @@ class ShardRouter(BatchMixin):
         equal = cs == ct
         result[equal] = 0.0
         work = ~equal
-        if not work.any():
-            with self._lock:
-                self.stats.core_pairs += len(cs)
+        # pairs sharing an attachment root arrive with cs == ct and are
+        # answered by the resolver, so only the rest count as core pairs
+        core_pairs = int(work.sum())
+        if not core_pairs:
             return result
 
         depth = self.resolver.lca_depths(cs, ct)
@@ -431,7 +453,7 @@ class ShardRouter(BatchMixin):
             pairs_per_shard[int(shard_id)] = int(mask.sum())
         with self._lock:
             stats = self.stats
-            stats.core_pairs += len(cs)
+            stats.core_pairs += core_pairs
             stats.cross_shard_pairs += int((source_shard[work] != target_shard[work]).sum())
             stats.fanout_calls += fanout_calls
             for shard_id, count in pairs_per_shard.items():

@@ -6,7 +6,9 @@ Covers the zero-downtime update pipeline end to end:
   with generation-less manifests, corrupt-manifest counter restart;
 * :meth:`ShardRouter.reload_generation` - answers flip atomically,
   concurrent queries never error mid-swap, a lazy shard load against a
-  newer on-disk generation refuses loudly instead of mixing generations;
+  newer on-disk generation refuses loudly instead of mixing generations
+  (a query hitting it reruns on the new generation), and a load during a
+  publish still reads the pinned generation's files;
 * the shared pair cache epoch - advancing it hides every cached entry
   from every attachment at once, republish works;
 * a live two-worker fleet generation flip under concurrent callers with
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import threading
 from typing import List, Tuple
@@ -227,6 +230,56 @@ class TestRouterReload:
             router.close()
         assert not errors
         assert router.stats.reloads == 1
+
+    def test_lazy_load_mid_publish_reads_the_pinned_generation(
+        self, dyn_graph, dyn_index, tmp_path, monkeypatch
+    ):
+        """Every new shard file is written but the manifest still names
+        generation 0: a lazy load must read generation 0, not the new bytes."""
+        import repro.core.persistence as persistence
+
+        path = tmp_path / "idx.npz"
+        dyn_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+        pairs = _probe_pairs(dyn_graph, count=40, seed=11)
+        expected = dyn_index.distances(pairs).tolist()
+        new_index = relabel(dyn_index, _reweight(dyn_graph, 2.0))
+        router = ShardRouter(path)
+        seen = []
+        replace = os.replace
+
+        def publish_paused(source, target):
+            if os.path.basename(target) == MANIFEST_FILENAME:
+                seen.append(router.distances(pairs).tolist())
+            replace(source, target)
+
+        monkeypatch.setattr(persistence.os, "replace", publish_paused)
+        try:
+            new_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+            monkeypatch.undo()
+            assert seen == [expected]
+            assert router.generation == 0
+        finally:
+            router.close()
+
+    def test_lagging_router_fails_over_to_the_new_generation(
+        self, dyn_graph, dyn_index, tmp_path
+    ):
+        """A query whose lazy load finds a newer generation reruns on it."""
+        path = tmp_path / "idx.npz"
+        dyn_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+        pairs = _probe_pairs(dyn_graph, count=40, seed=11)
+        new_index = relabel(dyn_index, _reweight(dyn_graph, 2.0))
+        router = ShardRouter(path)
+        try:
+            new_index.save_sharded(path, num_shards=4, boundaries="hierarchy")
+            got = router.distances(pairs)
+            assert got.tolist() == new_index.distances(pairs).tolist()
+            assert router.generation == 1
+            assert router.stats.reloads == 1
+            s, t = pairs[0]
+            assert router.distance(s, t) == new_index.distance(s, t)
+        finally:
+            router.close()
 
     def test_closed_router_refuses_reload(self, dyn_index, tmp_path):
         path = tmp_path / "idx.npz"

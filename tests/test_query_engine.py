@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.engine import QueryEngine, _bit_length
+from repro.core.engine import QueryEngine
 from repro.core.index import HC2LIndex
 from repro.graph.builders import graph_from_edges, path_graph
 from repro.graph.search import dijkstra
@@ -149,9 +149,12 @@ class TestOneToManyAndMatrix:
 
 class TestEngineInternals:
     def test_bit_length_matches_python(self):
-        values = [0, 1, 2, 3, 7, 8, 255, 256, 2**40, 2**62 - 1]
-        expected = [v.bit_length() for v in values]
-        assert _bit_length(np.asarray(values, dtype=np.int64)).tolist() == expected
+        """The vector LCA reads ``bit_length`` as the float64 exponent of a
+        prefix difference (below 2**53 at depth <= 53); exact at every
+        power-of-two edge up to 2**53 + 1."""
+        values = [0] + [v for k in range(1, 54) for v in (2**k - 1, 2**k, 2**k + 1)]
+        exponents = np.frexp(np.asarray(values, dtype=np.int64).astype(np.float64))[1]
+        assert exponents.tolist() == [v.bit_length() for v in values]
 
     def test_lca_depths_match_hierarchy(self, medium_graph):
         index = HC2LIndex.build(medium_graph, contract=False)
@@ -162,6 +165,24 @@ class TestEngineInternals:
         ct = np.asarray([rng.randrange(n) for _ in range(200)], dtype=np.int64)
         expected = [index.hierarchy.lca_depth(int(a), int(b)) for a, b in zip(cs, ct)]
         assert engine.resolver.lca_depths(cs, ct).tolist() == expected
+
+    def test_scalar_lca_fallback_matches_vector_path(self, medium_graph):
+        """Hierarchies deeper than the float64-exact bound take the scalar
+        walk; forced on here, it must agree with the vector path."""
+        index = HC2LIndex.build(medium_graph, contract=False)
+        resolver = index.engine.resolver
+        rng = random.Random(11)
+        n = medium_graph.num_vertices
+        cs = np.asarray([rng.randrange(n) for _ in range(300)], dtype=np.int64)
+        ct = np.asarray([rng.randrange(n) for _ in range(300)], dtype=np.int64)
+        vector = resolver.lca_depths(cs, ct)
+        resolver._vector_lca = False
+        try:
+            scalar = resolver.lca_depths(cs, ct)
+        finally:
+            resolver._vector_lca = True
+        assert scalar.dtype == vector.dtype == np.int64
+        assert scalar.tolist() == vector.tolist()
 
     def test_engine_is_cached(self, small_index):
         assert small_index.engine is small_index.engine
